@@ -24,10 +24,10 @@ namespace netclus {
 namespace bench {
 
 // --- unified-entry adapters --------------------------------------------
-// The per-algorithm convenience overloads are deprecated; harnesses time
-// RunClustering(view, MakeSpec(options)) — the path users actually run,
-// including its one-time Freeze() — and unpack the ClusterOutput back
-// into the per-algorithm result shapes the tables read.
+// Harnesses time RunClustering(view, MakeSpec(options)) — the path users
+// actually run, including its one-time Freeze() — and unpack the
+// ClusterOutput back into the per-algorithm result shapes the tables
+// read.
 
 inline Result<KMedoidsResult> RunKMedoids(const NetworkView& view,
                                           const KMedoidsOptions& options) {
@@ -101,7 +101,7 @@ double DefaultSInit(const Network& net, PointId clustered_points);
 /// Harnesses Add() one entry per benchmark — the raw wall-clock samples
 /// plus the TraversalCounters delta covering them — and Write() emits
 /// `BENCH_<name>.json`: an array of objects with median/p95 wall seconds
-/// and the settled-node / heap-pop / heap-push / pruned-node totals, so
+/// and the settled-node / heap-pop / heap-push totals, so
 /// CI and scripts can diff substrate work across revisions without
 /// scraping stdout.
 class BenchRecorder {

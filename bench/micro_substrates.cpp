@@ -2,22 +2,17 @@
 // clustering algorithms are built on — Dijkstra traversals, point
 // distance evaluation, range queries, B+-tree operations, and the buffer
 // manager hit path.
-//
-// netclus-lint: allow-legacy-entry — the k-medoids micro-benchmark times
-// the engine overload directly with a prebuilt accelerator; routing
-// through RunClustering would rebuild the index inside the measured loop.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "common/random.h"
-#include "core/kmedoids.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "graph/dijkstra.h"
 #include "graph/network_distance.h"
 #include "graph/network_store.h"
-#include "index/distance_index.h"
+#include "netclus.h"
 #include "storage/bptree.h"
 
 namespace netclus {
@@ -40,40 +35,15 @@ Fixture& SharedFixture() {
   return f;
 }
 
-// The distance index over the shared fixture, built once on first use.
-const DistanceIndex& SharedIndex() {
-  static std::unique_ptr<DistanceIndex> index = [] {
-    IndexOptions io;
-    io.enable = true;
-    io.num_landmarks = 8;
-    return std::move(
-        DistanceIndex::Build(*SharedFixture().view, io, nullptr).value());
-  }();
-  return *index;
-}
-
-// A sparser fixture for the indexed-vs-plain comparisons: nearest-object
-// floors (and therefore the index's pruning leverage) shrink as point
-// density grows, so the contrast benches run at ~0.25 points per node.
+// A sparser fixture (~0.25 points per node): range queries and
+// k-medoids swaps here are dominated by empty-network expansion.
 Fixture& SparseFixture() {
   static Fixture f(8000, 2000);
   return f;
 }
 
-const DistanceIndex& SparseIndex() {
-  static std::unique_ptr<DistanceIndex> index = [] {
-    IndexOptions io;
-    io.enable = true;
-    io.num_landmarks = 8;
-    return std::move(
-        DistanceIndex::Build(*SparseFixture().view, io, nullptr).value());
-  }();
-  return *index;
-}
-
 // Exports the settled-node / heap-pop deltas of the benchmark's whole
-// run as per-iteration google-benchmark counters, so `index on` rows are
-// directly comparable to their `index off` twins.
+// run as per-iteration google-benchmark counters.
 struct CounterScope {
   benchmark::State& state;
   TraversalCounters before;
@@ -86,8 +56,6 @@ struct CounterScope {
         static_cast<double>(d.settled_nodes), rate);
     state.counters["heap_pops"] = benchmark::Counter(
         static_cast<double>(d.heap_pops), rate);
-    state.counters["pruned"] = benchmark::Counter(
-        static_cast<double>(d.pruned_nodes), rate);
   }
 };
 
@@ -130,13 +98,9 @@ void BM_RangeQuery(benchmark::State& state) {
 BENCHMARK(BM_RangeQuery)->Arg(5)->Arg(20)->Arg(50)->Unit(
     benchmark::kMicrosecond);
 
-// Indexed-vs-plain range queries on the sparse fixture; arg = eps * 10.
-// The `settled` / `heap_pops` counters are the comparison that matters:
-// the indexed run answers the same queries settling fewer nodes (Voronoi
-// floor pruning + landmark expansion bound).
-void BM_RangeQueryContrast(benchmark::State& state) {
+// Workspace range queries on the sparse fixture; arg = eps * 10.
+void BM_RangeQuerySparse(benchmark::State& state) {
   Fixture& f = SparseFixture();
-  const DistanceIndex* index = state.range(1) != 0 ? &SparseIndex() : nullptr;
   TraversalWorkspace ws(f.gen.net.num_nodes());
   std::vector<RangeResult> out;
   Rng rng(6);
@@ -144,60 +108,29 @@ void BM_RangeQueryContrast(benchmark::State& state) {
   CounterScope counters(state);
   for (auto _ : state) {
     PointId p = static_cast<PointId>(rng.NextBounded(f.points.size()));
-    RangeQuery(*f.view, p, eps, &ws, index, &out);
+    RangeQuery(*f.view, p, eps, &ws, &out);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_RangeQueryContrast)
-    ->ArgNames({"eps10", "index"})
-    ->Args({50, 0})
-    ->Args({50, 1})
-    ->Args({150, 0})
-    ->Args({150, 1})
+BENCHMARK(BM_RangeQuerySparse)
+    ->ArgNames({"eps10"})
+    ->Arg(50)
+    ->Arg(150)
     ->Unit(benchmark::kMicrosecond);
 
-// Indexed point-to-point distance under a threshold cut (the question
-// the k-medoids swap evaluation asks per point): cache hits and
-// lower-bound cutoffs skip entire expansions.
-void BM_PointNetworkDistanceIndexed(benchmark::State& state) {
-  Fixture& f = SharedFixture();
-  const DistanceIndex& index = SharedIndex();
-  NodeScratch scratch(f.gen.net.num_nodes());
-  Rng rng(5);
-  CounterScope counters(state);
-  for (auto _ : state) {
-    PointId p = static_cast<PointId>(rng.NextBounded(f.points.size()));
-    PointId q = static_cast<PointId>(rng.NextBounded(f.points.size()));
-    benchmark::DoNotOptimize(
-        PointNetworkDistance(*f.view, p, q, &scratch, &index, 5.0));
-  }
-}
-BENCHMARK(BM_PointNetworkDistanceIndexed)->Unit(benchmark::kMicrosecond);
-
-// Full k-medoids runs on the sparse fixture, index off (arg 0) vs on
-// (arg 1): identical trajectories and results, with ALT lower bounds
-// pruning provably non-improving swap evaluations in the `on` rows.
+// Full k-medoids runs on the sparse fixture through RunClustering.
 void BM_KMedoidsSwapEval(benchmark::State& state) {
   Fixture& f = SparseFixture();
-  const DistanceIndex* index = state.range(0) != 0 ? &SparseIndex() : nullptr;
   KMedoidsOptions ko;
   ko.k = 8;
   ko.seed = 11;
   CounterScope counters(state);
-  uint32_t pruned = 0;
   for (auto _ : state) {
-    KMedoidsResult r =
-        std::move(KMedoidsCluster(*f.view, ko, index, nullptr).value());
-    pruned = r.stats.pruned_swaps;
+    ClusterOutput r = std::move(RunClustering(*f.view, MakeSpec(ko)).value());
     benchmark::DoNotOptimize(r.cost);
   }
-  state.counters["pruned_swaps"] = pruned;
 }
-BENCHMARK(BM_KMedoidsSwapEval)
-    ->ArgNames({"index"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KMedoidsSwapEval)->Unit(benchmark::kMillisecond);
 
 void BM_BPlusTreeInsert(benchmark::State& state) {
   for (auto _ : state) {

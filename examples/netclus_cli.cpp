@@ -60,8 +60,6 @@ int Usage() {
                "           [--eps E|auto] [--k K] [--minpts M] [--minsup M]\n"
                "           [--delta D] [--cut D] [--seed S]\n"
                "           [--threads T] [--restarts R]\n"
-               "           [--index on|off] [--landmarks K] [--cache-cap N]\n"
-               "           [--voronoi on|off]\n"
                "  serve    --in FILE [--workers W] [--clients C]\n"
                "           [--queries N] [--mutations M] [--eps E|auto]\n"
                "           [--validate on|off] [--seed S]\n"
@@ -236,23 +234,6 @@ int RunCluster(int argc, char** argv, const InMemoryNetworkView& view,
   double cut = std::atof(FlagValue(argc, argv, "--cut", "0"));
   spec.cut_distance = cut > 0.0 ? cut : eps;
   spec.cut_min_size = 2;
-
-  // Distance index knobs (see IndexOptions in index/distance_index.h);
-  // results are identical with the index on or off.
-  spec.index.enable =
-      std::strcmp(FlagValue(argc, argv, "--index", "off"), "on") == 0;
-  spec.index.num_landmarks = static_cast<uint32_t>(
-      std::atol(FlagValue(argc, argv, "--landmarks", "8")));
-  spec.index.cache_capacity = static_cast<size_t>(
-      std::atoll(FlagValue(argc, argv, "--cache-cap", "65536")));
-  spec.index.enable_voronoi =
-      std::strcmp(FlagValue(argc, argv, "--voronoi", "on"), "off") != 0;
-  spec.index.num_threads = threads;
-  if (spec.index.enable) {
-    std::printf("index: %u landmarks, cache capacity %zu, voronoi %s\n",
-                spec.index.num_landmarks, spec.index.cache_capacity,
-                spec.index.enable_voronoi ? "on" : "off");
-  }
 
   Result<EvaluationReport> report =
       EvaluateClustering(view, spec, points.labels());

@@ -121,17 +121,17 @@ done
 
 # Traversal layering tripwire: the clustering algorithms in src/core/
 # must reach the Dijkstra substrate only through the graph-layer entry
-# points (PointNetworkDistance / RangeQuery) or a DistanceAccelerator —
-# a direct expansion call would bypass the accelerator hooks and the
-# traversal counters. The one sanctioned caller is validate.cc, whose
-# oracles must stay independent of the accelerated paths they audit.
+# points (PointNetworkDistance / RangeQuery) or their own traversal
+# loops — a stray expansion call would sidestep the graph layer's
+# frozen/view dispatch. The one sanctioned caller is validate.cc, whose
+# oracles must stay independent of the algorithm paths they audit.
 for f in $(find src/core -name '*.h' -o -name '*.cc' | sort); do
   [ "$f" = "src/core/validate.cc" ] && continue
   stripped=$(sed 's@//.*@@' "$f")
   hits=$(printf '%s\n' "$stripped" |
     grep -nE 'DijkstraExpandBounded[[:space:]]*\(|DijkstraDistances[[:space:]]*\(' || true)
   if [ -n "$hits" ]; then
-    fail "$f: direct Dijkstra expansion from src/core/; go through PointNetworkDistance/RangeQuery (or a DistanceAccelerator) so index hooks and traversal counters stay wired
+    fail "$f: direct Dijkstra expansion from src/core/; go through PointNetworkDistance/RangeQuery
 $hits"
   fi
 done
@@ -141,8 +141,7 @@ done
 # VisitNeighbors(graph, n, fn) — which inlines the FrozenGraph CSR walk
 # — never through the virtual NetworkView::ForEachNeighbor, and must
 # never take a settle callback as std::function (type erasure defeats
-# the inlining the snapshot exists for). The std::function compat
-# wrappers live in src/graph/ only.
+# the inlining the snapshot exists for).
 for f in $(find src/core src/index -name '*.h' -o -name '*.cc' | sort); do
   stripped=$(sed 's@//.*@@' "$f")
   hits=$(printf '%s\n' "$stripped" |
@@ -152,7 +151,7 @@ for f in $(find src/core src/index -name '*.h' -o -name '*.cc' | sort); do
 $hits"
   fi
   hits=$(printf '%s\n' "$stripped" |
-    grep -nE 'std::function<(SettleAction|bool)[[:space:]]*\(' || true)
+    grep -nE 'std::function<bool[[:space:]]*\(' || true)
   if [ -n "$hits" ]; then
     fail "$f: std::function settle callback outside src/graph/; pass the functor as a template parameter (see DijkstraExpandKernel)
 $hits"
@@ -206,25 +205,6 @@ for f in $(find src -name '*.h' | sort); do
   if ! grep -q "^#ifndef ${guard}\$" "$f" ||
      ! grep -q "^#define ${guard}\$" "$f"; then
     fail "$f: header guard must be ${guard}"
-  fi
-done
-
-# Legacy-entry tripwire: the per-algorithm convenience overloads
-# (KMedoidsCluster & friends) are deprecated in favor of
-# RunClustering(view, MakeSpec(options)). tests/compat/ is the one
-# place that still exercises them (equivalence coverage); everything
-# else in tests/, examples/ and bench/ must go through the unified
-# entry. A file may opt out with a `netclus-lint: allow-legacy-entry`
-# comment when it deliberately times a non-deprecated engine overload.
-for f in $(find tests examples bench -name '*.h' -o -name '*.cc' -o -name '*.cpp' | sort); do
-  case "$f" in tests/compat/*) continue ;; esac
-  grep -q 'netclus-lint: allow-legacy-entry' "$f" && continue
-  stripped=$(sed 's@//.*@@' "$f")
-  hits=$(printf '%s\n' "$stripped" |
-    grep -nE '(^|[^[:alnum:]_])(KMedoidsCluster|EpsLinkCluster|DbscanCluster|SingleLinkCluster)[[:space:]]*\(' || true)
-  if [ -n "$hits" ]; then
-    fail "$f: legacy per-algorithm entry point; call RunClustering(view, MakeSpec(options)) (tests/compat/ is the only sanctioned caller; see also 'netclus-lint: allow-legacy-entry')
-$hits"
   fi
 done
 

@@ -35,13 +35,11 @@
 # no clang is installed (gcc has no thread-safety analysis).
 #
 # `scripts/run_all.sh bench-smoke` builds the default configuration and
-# runs the minutes-scale bench_smoke harness (distance-index on/off
-# contrasts on a small generated network) plus the frozen_traversal
-# contrast (FrozenGraph snapshot vs live view: identical counters,
-# >= 1.3x speedup) and the server_throughput harness (queries/sec at
-# 1/4/8 workers + p99 queue wait, with a hardware-aware 1->4 worker
-# scaling gate), leaving machine-readable BENCH_*.json files at the
-# repository root.
+# runs the frozen_traversal contrast (FrozenGraph snapshot vs live view:
+# identical counters, >= 1.3x speedup) and the server_throughput harness
+# (queries/sec at 1/4/8 workers + p99 queue wait, with a hardware-aware
+# 1->4 worker scaling gate), leaving machine-readable BENCH_*.json files
+# at the repository root.
 #
 # `scripts/run_all.sh server-smoke` builds the default configuration,
 # runs the query-server test suites (vocabulary, epoch manager,
@@ -103,7 +101,7 @@ if [ "${1:-}" = "ubsan" ]; then
   cmake -B build-ubsan -G Ninja -DNETCLUS_SANITIZE=undefined
   cmake --build build-ubsan
   ctest --test-dir build-ubsan --output-on-failure \
-    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|DirectDistance|PointDistance|InterestingLevels|Optics|Hierarchy|Validate|NetclusApi|Integration|Index|DistanceCache|LandmarkOracle|Voronoi|Frozen|Wal|Checkpoint|Incremental|Cancel|Deadline|WireCodec|WireFrame' \
+    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|DirectDistance|PointDistance|InterestingLevels|Optics|Hierarchy|Validate|NetclusApi|Integration|DistanceCache|Frozen|Wal|Checkpoint|Incremental|Cancel|Deadline|WireCodec|WireFrame' \
     2>&1 | tee ubsan_output.txt
   exit 0
 fi
@@ -246,10 +244,9 @@ fi
 if [ "${1:-}" = "bench-smoke" ]; then
   configure_build
   cmake --build build
-  ./build/bench/bench_smoke 2>&1 | tee bench_smoke_output.txt
   # Frozen-vs-view traversal contrast: exits non-zero unless the
   # counters match exactly and the snapshot path is >= 1.3x faster.
-  ./build/bench/frozen_traversal 2>&1 | tee -a bench_smoke_output.txt
+  ./build/bench/frozen_traversal 2>&1 | tee bench_smoke_output.txt
   # Query-server throughput at 1/4/8 workers with the hardware-aware
   # 1->4 scaling gate, plus the publish-latency contrast (incremental
   # splice vs full rebuild on a sparse-mutation workload).

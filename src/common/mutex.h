@@ -127,7 +127,7 @@ inline constexpr int kWorkspacePool = 50;
 inline constexpr int kDistanceCacheShard = 60;
 /// DiskNetworkView sticky-status slot (leaf of the disk read path).
 inline constexpr int kDiskViewStatus = 70;
-/// Stats-delta publication locks (DistanceIndex / QueryServer
+/// Stats-delta publication locks (QueryServer / TcpServer
 /// PublishStats), held while flushing into the global registry.
 inline constexpr int kStatsPublish = 80;
 /// QueryServer serving-statistics lock (inner to the admission queue:

@@ -13,19 +13,7 @@
 namespace netclus {
 
 Result<Clustering> DbscanCluster(const NetworkView& view,
-                                 const DbscanOptions& options) {
-  return DbscanCluster(view, options, nullptr, nullptr);
-}
-
-Result<Clustering> DbscanCluster(const NetworkView& view,
                                  const DbscanOptions& options,
-                                 const DistanceAccelerator* accel) {
-  return DbscanCluster(view, options, accel, nullptr);
-}
-
-Result<Clustering> DbscanCluster(const NetworkView& view,
-                                 const DbscanOptions& options,
-                                 const DistanceAccelerator* accel,
                                  const FrozenGraph* frozen) {
   if (!(options.eps > 0.0)) {
     return Status::InvalidArgument("eps must be positive");
@@ -63,10 +51,10 @@ Result<Clustering> DbscanCluster(const NetworkView& view,
     pool.ParallelFor(n, [&](size_t p, uint32_t worker) {
       if (frozen != nullptr) {
         RangeQuery(view, *frozen, static_cast<PointId>(p), options.eps,
-                   leases[worker].get(), accel, &cache[p]);
+                   leases[worker].get(), &cache[p]);
       } else {
         RangeQuery(view, static_cast<PointId>(p), options.eps,
-                   leases[worker].get(), accel, &cache[p]);
+                   leases[worker].get(), &cache[p]);
       }
     });
   }
@@ -77,9 +65,9 @@ Result<Clustering> DbscanCluster(const NetworkView& view,
   auto neighborhood = [&](PointId p) -> const std::vector<RangeResult>& {
     if (precomputed) return cache[p];
     if (frozen != nullptr) {
-      RangeQuery(view, *frozen, p, options.eps, &*serial_ws, accel, &buffer);
+      RangeQuery(view, *frozen, p, options.eps, &*serial_ws, &buffer);
     } else {
-      RangeQuery(view, p, options.eps, &*serial_ws, accel, &buffer);
+      RangeQuery(view, p, options.eps, &*serial_ws, &buffer);
     }
     return buffer;
   };

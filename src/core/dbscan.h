@@ -10,7 +10,6 @@
 
 #include "common/status.h"
 #include "core/clustering.h"
-#include "graph/accelerator.h"
 #include "graph/network_view.h"
 
 namespace netclus {
@@ -33,33 +32,13 @@ struct DbscanOptions {
 
 /// Runs network DBSCAN over all points. Border points join the first core
 /// point that reaches them (scan order: ascending point id); unreached
-/// points are noise.
-///
-/// Deprecated legacy entry point: call
-/// RunClustering(view, MakeSpec(options)) instead (netclus.h).
-[[deprecated("use RunClustering(view, MakeSpec(options))")]]
-Result<Clustering> DbscanCluster(const NetworkView& view,
-                                 const DbscanOptions& options);
-
-/// As above with an optional distance accelerator (null = identical to
-/// the overload above) threaded into every eps-range query. The
-/// accelerated queries return the same neighborhoods, so the clustering
-/// is identical with the index on or off (audited under validate mode).
-///
-/// Deprecated legacy entry point: RunClustering builds the accelerator
-/// itself from ClusterSpec::index.
-[[deprecated("use RunClustering with ClusterSpec::index")]]
+/// points are noise. When `frozen` is non-null (a snapshot of `view`, see
+/// NetworkView::Freeze()), every eps-range query expands over the
+/// snapshot's CSR arrays (shared read-only across the query workers)
+/// instead of the virtual view. Bit-identical clustering either way.
+/// Callers normally go through RunClustering (netclus.h).
 Result<Clustering> DbscanCluster(const NetworkView& view,
                                  const DbscanOptions& options,
-                                 const DistanceAccelerator* accel);
-
-/// As above with an optional FrozenGraph snapshot of `view` (see
-/// NetworkView::Freeze()): when non-null, every eps-range query expands
-/// over the snapshot's CSR arrays (shared read-only across the query
-/// workers) instead of the virtual view. Bit-identical clustering.
-Result<Clustering> DbscanCluster(const NetworkView& view,
-                                 const DbscanOptions& options,
-                                 const DistanceAccelerator* accel,
                                  const FrozenGraph* frozen);
 
 }  // namespace netclus

@@ -157,11 +157,6 @@ Result<Clustering> EpsLinkImpl(const NetworkView& view, const Graph& graph,
 }  // namespace
 
 Result<Clustering> EpsLinkCluster(const NetworkView& view,
-                                  const EpsLinkOptions& options) {
-  return EpsLinkImpl(view, view, options);
-}
-
-Result<Clustering> EpsLinkCluster(const NetworkView& view,
                                   const EpsLinkOptions& options,
                                   const FrozenGraph* frozen) {
   return frozen != nullptr ? EpsLinkImpl(view, *frozen, options)

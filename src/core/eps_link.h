@@ -27,16 +27,10 @@ struct EpsLinkOptions {
 /// Clusters all points; the result's clusters are exactly the connected
 /// components of the "pairs within eps" graph, with components smaller
 /// than min_sup downgraded to noise. Deterministic for fixed input.
-///
-/// Deprecated legacy entry point: call
-/// RunClustering(view, MakeSpec(options)) instead (netclus.h).
-[[deprecated("use RunClustering(view, MakeSpec(options))")]]
-Result<Clustering> EpsLinkCluster(const NetworkView& view,
-                                  const EpsLinkOptions& options);
-
-/// As above with an optional FrozenGraph snapshot of `view` (see
-/// NetworkView::Freeze()): when non-null, the expansion traverses the
-/// snapshot's CSR arrays with no virtual dispatch. Bit-identical result.
+/// When `frozen` is non-null (a snapshot of `view`, see
+/// NetworkView::Freeze()), the expansion traverses the snapshot's CSR
+/// arrays with no virtual dispatch. Bit-identical result either way.
+/// Callers normally go through RunClustering (netclus.h).
 Result<Clustering> EpsLinkCluster(const NetworkView& view,
                                   const EpsLinkOptions& options,
                                   const FrozenGraph* frozen);

@@ -131,37 +131,6 @@ class KMedoidsEngine {
     return cost;
   }
 
-  /// A sound lower bound on the evaluation function after replacing
-  /// medoid slot `med_idx` with `candidate`, from the accelerator's
-  /// per-pair bounds: a point provably reachable from some new medoid
-  /// (finite upper bound) contributes at least its smallest lower bound
-  /// over the new medoid set; a point with no finite upper bound may be
-  /// unreachable, in which case AssignPoints charges nothing for it, so
-  /// it must contribute 0 here. Returns early (with a value > `cut`)
-  /// once the accumulated bound proves the swap non-improving.
-  double SwapCostLowerBound(int med_idx, PointId candidate,
-                            const DistanceAccelerator& accel,
-                            double cut) const {
-    double lb_sum = 0.0;
-    const size_t k = medoids_.size();
-    const PointId n = view_.num_points();
-    for (PointId p = 0; p < n; ++p) {
-      double lb = kInfDist;
-      double ub = kInfDist;
-      for (size_t i = 0; i < k; ++i) {
-        PointId m =
-            i == static_cast<size_t>(med_idx) ? candidate : medoids_[i];
-        lb = std::min(lb, accel.LowerBound(p, m));
-        ub = std::min(ub, accel.UpperBound(p, m));
-        if (lb == 0.0 && ub < kInfDist) break;  // contribution bound is 0
-      }
-      if (ub == kInfDist) continue;  // possibly unreachable: contributes 0
-      lb_sum += lb;
-      if (lb_sum > cut) return lb_sum;
-    }
-    return lb_sum;
-  }
-
   // Swap bookkeeping: snapshot before a tentative swap, restore on reject.
   void Snapshot() {
     snap_med_ = node_med_;
@@ -247,8 +216,7 @@ class KMedoidsEngine {
 template <typename Graph>
 Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
                                const KMedoidsOptions& options,
-                               std::vector<PointId> initial, Rng* rng,
-                               const DistanceAccelerator* accel) {
+                               std::vector<PointId> initial, Rng* rng) {
   uint32_t k = static_cast<uint32_t>(initial.size());
   WallTimer total_timer;
   KMedoidsEngine<Graph> engine(view, graph);
@@ -276,19 +244,6 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
     } while (engine.IsMedoid(candidate));
 
     timer.Restart();
-    if (accel != nullptr) {
-      // Prune decisions must match the evaluated decision bit-for-bit:
-      // the evaluation rejects when new_cost >= cost, so only prune when
-      // the lower bound clears `cost` by more than the fp slack its own
-      // summation could have introduced.
-      double cut = cost + 1e-9 * std::max(1.0, cost);
-      if (engine.SwapCostLowerBound(med_idx, candidate, *accel, cut) > cut) {
-        swap_seconds_sum += timer.ElapsedSeconds();
-        ++result.stats.pruned_swaps;
-        ++unsuccessful;
-        continue;
-      }
-    }
     engine.Snapshot();
     engine.ReplaceMedoid(med_idx, candidate);
     if (options.incremental_updates) {
@@ -324,19 +279,7 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
 }  // namespace
 
 Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
-                                       const KMedoidsOptions& options) {
-  return KMedoidsCluster(view, options, nullptr, nullptr);
-}
-
-Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
                                        const KMedoidsOptions& options,
-                                       const DistanceAccelerator* accel) {
-  return KMedoidsCluster(view, options, accel, nullptr);
-}
-
-Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
-                                       const KMedoidsOptions& options,
-                                       const DistanceAccelerator* accel,
                                        const FrozenGraph* frozen) {
   const bool fixed_initial = !options.initial_medoids.empty();
   if (fixed_initial) {
@@ -375,10 +318,8 @@ Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
       initial.assign(sample.begin(), sample.end());
     }
     runs[r] = frozen != nullptr
-                  ? RunOnce(view, *frozen, options, std::move(initial), &rng,
-                            accel)
-                  : RunOnce(view, view, options, std::move(initial), &rng,
-                            accel);
+                  ? RunOnce(view, *frozen, options, std::move(initial), &rng)
+                  : RunOnce(view, view, options, std::move(initial), &rng);
   });
 
   // Deterministic reduction: lowest cost wins, ties broken by lowest

@@ -20,7 +20,6 @@
 
 #include "common/status.h"
 #include "core/clustering.h"
-#include "graph/accelerator.h"
 #include "graph/network_view.h"
 
 namespace netclus {
@@ -57,11 +56,6 @@ struct KMedoidsStats {
   /// Committed improving swaps (excluding the initial assignment).
   uint32_t committed_swaps = 0;
   uint32_t attempted_swaps = 0;
-  /// Attempted swaps rejected by the accelerator's cost lower bound
-  /// before any traversal ran (always 0 without an accelerator). A
-  /// pruned swap is provably non-improving, so the search trajectory is
-  /// identical to the unaccelerated run.
-  uint32_t pruned_swaps = 0;
   /// Wall time of the initial full assignment ("first iteration").
   double first_iteration_seconds = 0.0;
   /// Mean wall time of one subsequent swap evaluation ("next ones").
@@ -81,38 +75,15 @@ struct KMedoidsResult {
 /// `options.initial_medoids` is set. Restarts execute in parallel on
 /// `options.num_threads` workers with per-restart derived seeds; the
 /// winning run (lowest cost, ties broken by lowest restart index) is
-/// bit-identical to a serial execution.
-///
-/// Deprecated legacy entry point: call
-/// RunClustering(view, MakeSpec(options)) instead (netclus.h).
-[[deprecated("use RunClustering(view, MakeSpec(options))")]]
-Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
-                                       const KMedoidsOptions& options);
-
-/// As above with an optional distance accelerator (null = identical to
-/// the overload above). Before a tentative swap is evaluated, a sound
-/// lower bound on the post-swap cost is assembled from the
-/// accelerator's per-pair bounds; swaps whose bound already exceeds the
-/// current cost are rejected without running Inc_Medoid_Update or the
-/// assignment scan. Pruning never changes the result: the rng draws and
-/// the accept/reject sequence are identical with the index on or off.
-///
-/// Deprecated legacy entry point: RunClustering builds the accelerator
-/// itself from ClusterSpec::index.
-[[deprecated("use RunClustering with ClusterSpec::index")]]
-Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
-                                       const KMedoidsOptions& options,
-                                       const DistanceAccelerator* accel);
-
-/// As above with an optional FrozenGraph snapshot of `view` (see
-/// NetworkView::Freeze()): when non-null, every traversal
+/// bit-identical to a serial execution. When `frozen` is non-null (a
+/// snapshot of `view`, see NetworkView::Freeze()), every traversal
 /// (Medoid_Dist_Find, Inc_Medoid_Update, the assignment scan's edge
 /// weights) runs over the snapshot's CSR arrays with no virtual
-/// dispatch, shared read-only across the restart workers. Results are
-/// bit-identical to the unfrozen run.
+/// dispatch, shared read-only across the restart workers; results are
+/// bit-identical to the unfrozen run. Callers normally go through
+/// RunClustering (netclus.h).
 Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
                                        const KMedoidsOptions& options,
-                                       const DistanceAccelerator* accel,
                                        const FrozenGraph* frozen);
 
 /// Evaluates R for an arbitrary medoid set (no search), assigning every

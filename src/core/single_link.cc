@@ -168,11 +168,6 @@ Result<SingleLinkResult> SingleLinkImpl(const NetworkView& view,
 }  // namespace
 
 Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
-                                           const SingleLinkOptions& options) {
-  return SingleLinkImpl(view, view, options);
-}
-
-Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
                                            const SingleLinkOptions& options,
                                            const FrozenGraph* frozen) {
   return frozen != nullptr ? SingleLinkImpl(view, *frozen, options)

@@ -53,18 +53,11 @@ struct SingleLinkResult {
   explicit SingleLinkResult(PointId n) : dendrogram(n) {}
 };
 
-/// Runs Single-Link over all points of `view`.
-///
-/// Deprecated legacy entry point: call
-/// RunClustering(view, MakeSpec(options)) instead (netclus.h).
-[[deprecated("use RunClustering(view, MakeSpec(options))")]]
-Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
-                                           const SingleLinkOptions& options);
-
-/// As above with an optional FrozenGraph snapshot of `view` (see
-/// NetworkView::Freeze()): when non-null, the Voronoi expansion runs
-/// over the snapshot's CSR arrays with no virtual dispatch. The
-/// dendrogram and stats are bit-identical to the unfrozen run.
+/// Runs Single-Link over all points of `view`. When `frozen` is non-null
+/// (a snapshot of `view`, see NetworkView::Freeze()), the Voronoi
+/// expansion runs over the snapshot's CSR arrays with no virtual
+/// dispatch; the dendrogram and stats are bit-identical to the unfrozen
+/// run. Callers normally go through RunClustering (netclus.h).
 Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
                                            const SingleLinkOptions& options,
                                            const FrozenGraph* frozen);

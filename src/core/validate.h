@@ -26,7 +26,6 @@
 #include "core/dendrogram.h"
 #include "core/eps_link.h"
 #include "core/single_link.h"
-#include "graph/accelerator.h"
 #include "graph/dijkstra.h"
 #include "graph/network_view.h"
 
@@ -102,21 +101,6 @@ Status ValidateWorkspace(const TraversalWorkspace& ws, NodeId num_nodes);
 /// validate block so -DNETCLUS_VALIDATE=ON builds re-prove the snapshot
 /// on every run.
 Status ValidateFrozenGraph(const NetworkView& view, const FrozenGraph& frozen);
-
-/// Distance-accelerator (index) consistency audit, against independent
-/// exact traversals:
-///  - On a deterministic sample of point pairs, LowerBound and
-///    UpperBound must sandwich the exact point-to-point Dijkstra
-///    distance, and a cache hit must equal it.
-///  - NearestObjectFloor(n, exclude) must not exceed the exact
-///    distance from n to its nearest (non-excluded) object, checked for
-///    every node against a multi-source oracle (all objects, and all
-///    objects minus one for a sample of excluded probes).
-///  - RangeExpansionBound(p, eps) must stay within [0, eps] and cover
-///    the farthest point an unaccelerated eps-range query finds.
-Status ValidateDistanceAccelerator(const NetworkView& view,
-                                   const DistanceAccelerator& accel,
-                                   const ValidateLimits& limits = {});
 
 }  // namespace netclus
 

@@ -1,5 +1,5 @@
 // Dijkstra shortest-path primitives: a header-template traversal kernel
-// plus NetworkView compatibility wrappers.
+// and the bounded / unbounded entry points built on it.
 //
 // Every clustering algorithm in the paper is built on (multi-source,
 // possibly bounded) Dijkstra traversals; these helpers centralize the
@@ -12,8 +12,8 @@
 // std::function. Neighbor iteration is reached through the
 // VisitNeighbors(graph, node, fn) adapter, overloaded per graph type;
 // the NetworkView adapter below is the sanctioned bridge to the virtual
-// interface, kept so code that has not (or cannot — e.g. streaming
-// disk-backed scans) migrate to a snapshot still works unchanged.
+// interface, for code that cannot (e.g. streaming disk-backed scans)
+// traverse a snapshot.
 #ifndef NETCLUS_GRAPH_DIJKSTRA_H_
 #define NETCLUS_GRAPH_DIJKSTRA_H_
 
@@ -21,7 +21,6 @@
 #include <atomic>
 #include <functional>
 #include <limits>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -42,9 +41,9 @@ struct DijkstraSource {
 /// \brief Per-thread monotonic traversal counters.
 ///
 /// Every expansion in the library (the primitives below, the range
-/// queries built on them, the k-medoids concurrent expansion, the index
-/// precomputes) bumps these, so benches can report settled-node and
-/// heap-op counts as first-class metrics next to wall time. Counters are
+/// queries built on them, the k-medoids concurrent expansion) bumps
+/// these, so benches can report settled-node and heap-op counts as
+/// first-class metrics next to wall time. Counters are
 /// thread-local: a caller snapshots LocalTraversalCounters() before and
 /// after a measured section and diffs; multi-threaded sections must sum
 /// per-worker snapshots themselves.
@@ -52,33 +51,21 @@ struct TraversalCounters {
   uint64_t heap_pushes = 0;
   uint64_t heap_pops = 0;
   uint64_t settled_nodes = 0;
-  /// Nodes whose outgoing relaxation was skipped by an accelerator
-  /// (nearest-object floor pruning in the indexed range query).
-  uint64_t pruned_nodes = 0;
 
   TraversalCounters operator-(const TraversalCounters& other) const {
     return TraversalCounters{heap_pushes - other.heap_pushes,
                              heap_pops - other.heap_pops,
-                             settled_nodes - other.settled_nodes,
-                             pruned_nodes - other.pruned_nodes};
+                             settled_nodes - other.settled_nodes};
   }
   TraversalCounters operator+(const TraversalCounters& other) const {
     return TraversalCounters{heap_pushes + other.heap_pushes,
                              heap_pops + other.heap_pops,
-                             settled_nodes + other.settled_nodes,
-                             pruned_nodes + other.pruned_nodes};
+                             settled_nodes + other.settled_nodes};
   }
 };
 
 /// The calling thread's counters (never reset; diff snapshots instead).
 TraversalCounters& LocalTraversalCounters();
-
-/// What an extended settle callback wants done after visiting a node.
-enum class SettleAction {
-  kContinue,       ///< relax neighbors and keep expanding
-  kSkipNeighbors,  ///< keep the node settled but do not relax through it
-  kStop,           ///< abandon the whole expansion
-};
 
 /// \brief Reusable per-node distance array with O(1) logical reset.
 ///
@@ -191,18 +178,6 @@ inline DijkstraHeapEntry HeapPopEntry(std::vector<DijkstraHeapEntry>* heap) {
   return top;
 }
 
-// Adapts both settle protocols onto SettleAction at compile time: a
-// bool-returning functor means false = stop (the original protocol).
-template <typename SettleFn>
-inline SettleAction InvokeSettle(SettleFn& on_settle, NodeId n, double d) {
-  if constexpr (std::is_same_v<std::invoke_result_t<SettleFn&, NodeId, double>,
-                               bool>) {
-    return on_settle(n, d) ? SettleAction::kContinue : SettleAction::kStop;
-  } else {
-    return on_settle(n, d);
-  }
-}
-
 }  // namespace internal
 
 /// \brief The traversal kernel: bounded multi-source Dijkstra over any
@@ -210,8 +185,8 @@ inline SettleAction InvokeSettle(SettleFn& on_settle, NodeId n, double d) {
 ///
 /// Settled distances land in `scratch` (a fresh epoch is started);
 /// `heap` is cleared but keeps its capacity. `on_settle(node, dist)` is
-/// invoked once per settled node with dist <= `bound` and may return
-/// either bool (false = stop) or SettleAction. Instantiated with a
+/// invoked once per settled node with dist <= `bound` and returns false
+/// to abandon the expansion. Instantiated with a
 /// FrozenGraph and a lambda, the inner loop carries no virtual dispatch
 /// and no std::function — this is the de-virtualized hot path every
 /// algorithm runs on.
@@ -256,12 +231,7 @@ void DijkstraExpandKernel(const Graph& graph,
         return;
       }
     }
-    SettleAction action = internal::InvokeSettle(on_settle, n, d);
-    if (action == SettleAction::kStop) return;
-    if (action == SettleAction::kSkipNeighbors) {
-      ++tc.pruned_nodes;
-      continue;
-    }
+    if (!on_settle(n, d)) return;
     VisitNeighbors(graph, n, [&](NodeId m, double w) {
       double nd = d + w;
       if (nd <= bound && nd < scratch->Get(m)) {
@@ -274,11 +244,8 @@ void DijkstraExpandKernel(const Graph& graph,
 
 /// Expands the graph from `sources` in distance order, invoking
 /// `on_settle(node, dist)` once per settled node with dist <= `bound`;
-/// the functor returns bool (false = stop) or SettleAction
-/// (kSkipNeighbors keeps the node settled without relaxing through it —
-/// accelerator pruning, counted in TraversalCounters::pruned_nodes).
-/// Settled distances are recorded in `scratch` (a fresh epoch is
-/// started).
+/// the functor returns false to stop. Settled distances are recorded in
+/// `scratch` (a fresh epoch is started).
 template <typename Graph, typename SettleFn>
 void DijkstraExpandBounded(const Graph& graph,
                            const std::vector<DijkstraSource>& sources,
@@ -310,7 +277,7 @@ void DijkstraDistances(const Graph& graph,
                        const std::vector<DijkstraSource>& sources,
                        TraversalWorkspace* ws) {
   DijkstraExpandKernel(graph, sources, kInfDist, &ws->scratch, &ws->heap,
-                       [](NodeId, double) { return SettleAction::kContinue; },
+                       [](NodeId, double) { return true; },
                        &ws->cancel);
 }
 
@@ -320,37 +287,6 @@ void DijkstraDistances(const Graph& graph,
 /// uses the TraversalWorkspace overload.
 std::vector<double> DijkstraDistances(const NetworkView& view,
                                       const std::vector<DijkstraSource>& sources);
-
-// --- NetworkView + std::function compatibility wrappers ------------------
-// Thin non-template overloads delegating to the kernel. They exist so
-// pre-snapshot call sites (and call sites that store their callback in a
-// std::function) keep compiling and linking unchanged; overload
-// resolution prefers them for std::function lvalues and the templates
-// above for everything else.
-
-void DijkstraDistances(const NetworkView& view,
-                       const std::vector<DijkstraSource>& sources,
-                       TraversalWorkspace* ws);
-
-void DijkstraExpandBounded(
-    const NetworkView& view, const std::vector<DijkstraSource>& sources,
-    double bound, NodeScratch* scratch,
-    const std::function<bool(NodeId, double)>& on_settle);
-
-void DijkstraExpandBounded(
-    const NetworkView& view, const std::vector<DijkstraSource>& sources,
-    double bound, TraversalWorkspace* ws,
-    const std::function<bool(NodeId, double)>& on_settle);
-
-void DijkstraExpandBounded(
-    const NetworkView& view, const std::vector<DijkstraSource>& sources,
-    double bound, NodeScratch* scratch,
-    const std::function<SettleAction(NodeId, double)>& on_settle);
-
-void DijkstraExpandBounded(
-    const NetworkView& view, const std::vector<DijkstraSource>& sources,
-    double bound, TraversalWorkspace* ws,
-    const std::function<SettleAction(NodeId, double)>& on_settle);
 
 }  // namespace netclus
 

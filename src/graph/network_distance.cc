@@ -125,47 +125,6 @@ void RangeQueryImpl(const NetworkView& view, const Graph& graph,
 }
 
 template <typename Graph>
-void RangeQueryAccelImpl(const NetworkView& view, const Graph& graph,
-                         PointId center, double eps, TraversalWorkspace* ws,
-                         const DistanceAccelerator* accel,
-                         std::vector<RangeResult>* out) {
-  out->clear();
-  PointPos c = view.PointPosition(center);
-  double wc = view.EdgeWeight(c.u, c.v);
-
-  // Landmark prefilter: an expansion radius covering the farthest
-  // in-range candidate is as good as eps (the proof needs every node on
-  // an in-range point's shortest path to stay under the bound, and
-  // those prefixes are <= the point's own distance).
-  double bound = accel->RangeExpansionBound(center, eps);
-  // Slack mirrors Tolerance(): a floor equal to the remaining budget up
-  // to fp rounding must not prune.
-  const double prune_cut = eps * (1.0 + 1e-9);
-  ws->settled.clear();
-  ws->cancel.triggered = false;
-  DijkstraExpandBounded(
-      graph, {{c.u, c.offset}, {c.v, wc - c.offset}}, bound, ws,
-      [&](NodeId n, double d) {
-        ws->settled.emplace_back(n, d);
-        // Every point != center whose shortest path runs through n is at
-        // least d + floor away; past eps, n's edges still get inspected
-        // (it stays settled) but nothing needs to be reached through it.
-        if (d + accel->NearestObjectFloor(n, center) > prune_cut) {
-          return SettleAction::kSkipNeighbors;
-        }
-        return SettleAction::kContinue;
-      });
-  if (ws->cancel.triggered) return;
-  CollectRangePoints(view, graph, c, wc, eps, ws->scratch, ws->settled, out);
-  // Pruning changes the settle order, so canonicalize: emitted sets are
-  // provably identical to the unaccelerated query, order is not.
-  std::sort(out->begin(), out->end(),
-            [](const RangeResult& a, const RangeResult& b) {
-              return a.id < b.id;
-            });
-}
-
-template <typename Graph>
 void KNearestNeighborsImpl(const NetworkView& view, const Graph& graph,
                            PointId center, uint32_t k, NodeScratch* scratch,
                            TraversalCancel* cancel,
@@ -312,102 +271,17 @@ void RangeQuery(const NetworkView& view, const FrozenGraph& frozen,
 }
 
 double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
-                            NodeScratch* scratch,
-                            const DistanceAccelerator* accel,
-                            double threshold) {
-  if (accel == nullptr) return PointNetworkDistance(view, p, q, scratch);
-  if (p == q) return 0.0;
-  double cached;
-  if (accel->LookupDistance(p, q, &cached)) return cached;
-  double lb = accel->LowerBound(p, q);
-  if (lb == kInfDist) return kInfDist;  // proven disconnected — exact
-  if (lb > threshold) return lb;        // caller only branches on the cut
-  double exact = PointNetworkDistance(view, p, q, scratch);
-  accel->StoreDistance(p, q, exact);
-  return exact;
+                            TraversalWorkspace* ws) {
+  ws->cancel.triggered = false;
+  return PointNetworkDistanceImpl(view, view, p, q, &ws->scratch, &ws->heap,
+                                  &ws->cancel);
 }
 
 double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
-                            PointId p, PointId q, NodeScratch* scratch,
-                            const DistanceAccelerator* accel,
-                            double threshold) {
-  if (accel == nullptr) {
-    return PointNetworkDistance(view, frozen, p, q, scratch);
-  }
-  if (p == q) return 0.0;
-  double cached;
-  if (accel->LookupDistance(p, q, &cached)) return cached;
-  double lb = accel->LowerBound(p, q);
-  if (lb == kInfDist) return kInfDist;  // proven disconnected — exact
-  if (lb > threshold) return lb;        // caller only branches on the cut
-  double exact = PointNetworkDistance(view, frozen, p, q, scratch);
-  accel->StoreDistance(p, q, exact);
-  return exact;
-}
-
-void RangeQuery(const NetworkView& view, PointId center, double eps,
-                TraversalWorkspace* ws, const DistanceAccelerator* accel,
-                std::vector<RangeResult>* out) {
-  if (accel == nullptr) {
-    RangeQuery(view, center, eps, ws, out);
-    return;
-  }
-  RangeQueryAccelImpl(view, view, center, eps, ws, accel, out);
-}
-
-void RangeQuery(const NetworkView& view, const FrozenGraph& frozen,
-                PointId center, double eps, TraversalWorkspace* ws,
-                const DistanceAccelerator* accel,
-                std::vector<RangeResult>* out) {
-  if (accel == nullptr) {
-    RangeQuery(view, frozen, center, eps, ws, out);
-    return;
-  }
-  RangeQueryAccelImpl(view, frozen, center, eps, ws, accel, out);
-}
-
-double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
-                            TraversalWorkspace* ws,
-                            const DistanceAccelerator* accel,
-                            double threshold) {
+                            PointId p, PointId q, TraversalWorkspace* ws) {
   ws->cancel.triggered = false;
-  if (accel == nullptr) {
-    return PointNetworkDistanceImpl(view, view, p, q, &ws->scratch, &ws->heap,
-                                    &ws->cancel);
-  }
-  if (p == q) return 0.0;
-  double cached;
-  if (accel->LookupDistance(p, q, &cached)) return cached;
-  double lb = accel->LowerBound(p, q);
-  if (lb == kInfDist) return kInfDist;  // proven disconnected — exact
-  if (lb > threshold) return lb;        // caller only branches on the cut
-  double exact = PointNetworkDistanceImpl(view, view, p, q, &ws->scratch,
-                                          &ws->heap, &ws->cancel);
-  // A cancelled expansion yields a garbage partial value — never let it
-  // poison the cache.
-  if (!ws->cancel.triggered) accel->StoreDistance(p, q, exact);
-  return exact;
-}
-
-double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
-                            PointId p, PointId q, TraversalWorkspace* ws,
-                            const DistanceAccelerator* accel,
-                            double threshold) {
-  ws->cancel.triggered = false;
-  if (accel == nullptr) {
-    return PointNetworkDistanceImpl(view, frozen, p, q, &ws->scratch,
-                                    &ws->heap, &ws->cancel);
-  }
-  if (p == q) return 0.0;
-  double cached;
-  if (accel->LookupDistance(p, q, &cached)) return cached;
-  double lb = accel->LowerBound(p, q);
-  if (lb == kInfDist) return kInfDist;  // proven disconnected — exact
-  if (lb > threshold) return lb;        // caller only branches on the cut
-  double exact = PointNetworkDistanceImpl(view, frozen, p, q, &ws->scratch,
-                                          &ws->heap, &ws->cancel);
-  if (!ws->cancel.triggered) accel->StoreDistance(p, q, exact);
-  return exact;
+  return PointNetworkDistanceImpl(view, frozen, p, q, &ws->scratch, &ws->heap,
+                                  &ws->cancel);
 }
 
 void KNearestNeighbors(const NetworkView& view, PointId center, uint32_t k,

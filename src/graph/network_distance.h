@@ -1,22 +1,20 @@
 // Point-level distance functions of the paper's Section 3.1 and the
 // ε-range query over the network ([16]-style expansion) used by DBSCAN.
 //
-// These free functions are the synchronous compatibility surface of the
-// unified query API in server/query.h: a QueryRequest of each kind
-// (kPointDistance, kRange, kNearestObject) executes by dispatching onto
-// the function below matching the execution context — live view or
-// FrozenGraph snapshot, accelerated or exact. Every frozen/view and
-// accel/plain overload pair is bit-identical in its results, which is
-// what lets ValidateServedBatch replay a served batch through any of
-// them and demand exact payload equality. Existing callers keep using
-// these functions directly; new query-shaped code should prefer the
-// QueryRequest vocabulary.
+// These free functions are the synchronous surface of the unified query
+// API in server/query.h: a QueryRequest of each kind (kPointDistance,
+// kRange, kNearestObject) executes by dispatching onto the function
+// below matching the execution context — live view or FrozenGraph
+// snapshot. Every frozen/view overload pair is bit-identical in its
+// results, which is what lets ValidateServedBatch replay a served batch
+// through either and demand exact payload equality. Every function here
+// is exact: the only distance accelerator in the system is the served
+// ObjectId-keyed DistanceCache, consulted by ExecuteQueryInto itself.
 #ifndef NETCLUS_GRAPH_NETWORK_DISTANCE_H_
 #define NETCLUS_GRAPH_NETWORK_DISTANCE_H_
 
 #include <vector>
 
-#include "graph/accelerator.h"
 #include "graph/dijkstra.h"
 #include "graph/frozen_graph.h"
 #include "graph/network_view.h"
@@ -47,39 +45,15 @@ double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
 double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
                             PointId p, PointId q, NodeScratch* scratch);
 
-/// Accelerated variant (`accel` may be null = exact path above). Early
-/// exits on a cache hit and on a kInfDist lower bound (proven
-/// disconnection); exact results are offered back to the cache.
-/// Callers that only branch on "d(p, q) <= threshold" may pass
-/// `threshold`: when the accelerator's lower bound already exceeds it,
-/// the expansion is skipped and that lower bound — some value >
-/// threshold, not the exact distance — is returned.
-double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
-                            NodeScratch* scratch,
-                            const DistanceAccelerator* accel,
-                            double threshold = kInfDist);
-
-/// Frozen-path accelerated variant; same contract, exact expansions run
-/// over the snapshot.
-double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
-                            PointId p, PointId q, NodeScratch* scratch,
-                            const DistanceAccelerator* accel,
-                            double threshold = kInfDist);
-
 /// Workspace-based variants: the expansion reuses `ws`'s heap storage
 /// and honors its cancellation token (`ws->cancel`, inert by default —
 /// results are bit-identical to the NodeScratch overloads above). When
 /// the token fires mid-expansion the returned value is garbage: callers
-/// must check `ws->cancel.triggered`, and a cancelled expansion is
-/// never offered back to the accelerator's cache.
+/// must check `ws->cancel.triggered` and must not cache it.
 double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
-                            TraversalWorkspace* ws,
-                            const DistanceAccelerator* accel = nullptr,
-                            double threshold = kInfDist);
+                            TraversalWorkspace* ws);
 double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
-                            PointId p, PointId q, TraversalWorkspace* ws,
-                            const DistanceAccelerator* accel = nullptr,
-                            double threshold = kInfDist);
+                            PointId p, PointId q, TraversalWorkspace* ws);
 
 /// A point found by RangeQuery, with its exact network distance from the
 /// query point.
@@ -116,25 +90,6 @@ void RangeQuery(const NetworkView& view, PointId center, double eps,
 /// snapshot (point data still comes from `view`). Bit-identical results.
 void RangeQuery(const NetworkView& view, const FrozenGraph& frozen,
                 PointId center, double eps, TraversalWorkspace* ws,
-                std::vector<RangeResult>* out);
-
-/// Accelerated variant (`accel` may be null = plain overload above).
-/// Two levers, both result-preserving: the expansion radius is tightened
-/// to accel->RangeExpansionBound(center, eps) (landmark prefilter), and
-/// a settled node n with d(n) + NearestObjectFloor(n, center) > eps has
-/// its relaxation skipped — no point other than `center` reachable
-/// through n can lie within eps. The emitted (id, dist) multiset is
-/// identical to the unaccelerated query; only the internal visit order
-/// differs, so results are sorted by id before returning.
-void RangeQuery(const NetworkView& view, PointId center, double eps,
-                TraversalWorkspace* ws, const DistanceAccelerator* accel,
-                std::vector<RangeResult>* out);
-
-/// Frozen-path accelerated variant; same result-preserving levers, with
-/// the expansion over the snapshot.
-void RangeQuery(const NetworkView& view, const FrozenGraph& frozen,
-                PointId center, double eps, TraversalWorkspace* ws,
-                const DistanceAccelerator* accel,
                 std::vector<RangeResult>* out);
 
 /// Finds the `k` points nearest to `center` by network distance

@@ -1,27 +1,23 @@
-// Sharded LRU cache of exact point-pair network distances.
+// Sharded LRU cache of exact point-pair network distances — the served
+// distance accelerator.
 //
 // The key is the unordered pair {a, b} of 64-bit ids (distance is
-// symmetric). Callers may pass dense PointIds (the clustering-time
-// DistanceIndex does) or durable ObjectIds (the serving path does, so
-// warm entries survive metric-preserving republication — see
+// symmetric). The query server keys on durable ObjectIds, so warm
+// entries survive metric-preserving republication (see
 // server/snapshot.h). Entries are spread over a power-of-two number of
 // shards by a mixed hash of the key; each shard is an independent LRU
 // list under its own mutex, so concurrent readers on different shards
 // never contend (striped locking).
 //
-// Invalidation is epoch-based and lazy: mutating the network bumps a
-// global atomic epoch; a shard discovers the stale epoch on its next
-// access under its own lock and drops its entries then. No mutation
-// ever has to visit all shards synchronously.
+// There is no invalidation: a cache is only valid for the network
+// metric it was filled under, so any metric change publishes a fresh
+// cache instead (QueryServer does this on every AddEdge batch).
 //
 // Hit / miss / store / eviction counters are kept per shard (under the
-// shard mutex, so they cost nothing extra) and aggregated on demand;
-// DistanceIndex flushes them into the global StatsCollector once per
-// clustering run.
+// shard mutex, so they cost nothing extra) and aggregated on demand.
 #ifndef NETCLUS_INDEX_DISTANCE_CACHE_H_
 #define NETCLUS_INDEX_DISTANCE_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -62,10 +58,6 @@ class DistanceCache {
   /// shard's least-recently-used entry when over budget.
   void Store(uint64_t a, uint64_t b, double dist) const;
 
-  /// Invalidates every entry (network mutation). O(1): bumps the global
-  /// epoch; shards drop their entries lazily on next access.
-  void Invalidate() const;
-
   /// Sum of all shard counters.
   Counters counters() const;
 
@@ -73,7 +65,6 @@ class DistanceCache {
   size_t size() const;
 
   size_t capacity() const { return capacity_; }
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
  private:
   /// Canonicalized unordered pair of 64-bit ids (lo <= hi). A full
@@ -99,9 +90,6 @@ class DistanceCache {
     // shard at a time (Lookup/Store lock exactly the key's shard;
     // counters()/size() visit shards strictly one after another).
     mutable Mutex mu{lock_rank::kDistanceCacheShard, "DistanceCache::Shard::mu"};
-    /// Epoch the resident entries belong to; on mismatch with the
-    /// cache-wide epoch the shard clears itself before serving.
-    uint64_t epoch NETCLUS_GUARDED_BY(mu) = 0;
     std::list<Entry> lru NETCLUS_GUARDED_BY(mu);  ///< front = most recent
     std::unordered_map<PairKey, std::list<Entry>::iterator, PairKeyHash> map
         NETCLUS_GUARDED_BY(mu);
@@ -113,13 +101,10 @@ class DistanceCache {
   }
 
   Shard& ShardFor(const PairKey& key) const;
-  /// Clears the shard if its resident epoch is stale. Caller holds mu.
-  void RefreshEpochLocked(Shard* shard) const NETCLUS_REQUIRES(shard->mu);
 
   size_t capacity_;
   size_t per_shard_capacity_ = 0;
   uint32_t shard_mask_;
-  mutable std::atomic<uint64_t> epoch_{0};
   mutable std::vector<Shard> shards_;
 };
 

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <optional>
 
-#include "common/stats.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/validate.h"
 #include "graph/frozen_graph.h"
@@ -111,32 +107,17 @@ Result<ClusterOutput> RunClustering(const NetworkView& view,
   NETCLUS_RETURN_IF_ERROR(view.status());
   WallTimer timer;
   // Freeze the adjacency structure once per run: every traversal below
-  // — index builds and the algorithms themselves — expands over this
-  // immutable CSR snapshot, shared read-only across the thread pool,
-  // instead of paying virtual dispatch per neighbor. Trajectories are
-  // bit-identical to the live-view path (ValidateFrozenGraph re-proves
-  // the snapshot under validate mode).
+  // expands over this immutable CSR snapshot, shared read-only across
+  // the thread pool, instead of paying virtual dispatch per neighbor.
+  // Trajectories are bit-identical to the live-view path
+  // (ValidateFrozenGraph re-proves the snapshot under validate mode).
   NETCLUS_ASSIGN_OR_RETURN(FrozenGraph frozen, view.Freeze());
-  // The optional distance index (landmarks + cache + Voronoi floors) is
-  // built up front and handed to the algorithms that accept an
-  // accelerator; the others simply ignore it. With `index.enable` unset
-  // `index` stays null and every call below takes the unindexed path.
-  std::unique_ptr<DistanceIndex> index;
-  if (spec.index.enable) {
-    uint32_t workers = ResolveNumThreads(spec.index.num_threads);
-    std::optional<ThreadPool> pool;
-    if (workers > 1 && spec.index.num_landmarks > 1) pool.emplace(workers);
-    NETCLUS_ASSIGN_OR_RETURN(
-        index, DistanceIndex::Build(view, spec.index,
-                                    pool ? &*pool : nullptr, &frozen));
-  }
-  const DistanceAccelerator* accel = index.get();
   ClusterOutput out;
   out.algorithm = spec.algorithm;
   switch (spec.algorithm) {
     case Algorithm::kKMedoids: {
       Result<KMedoidsResult> r =
-          KMedoidsCluster(view, spec.kmedoids, accel, &frozen);
+          KMedoidsCluster(view, spec.kmedoids, &frozen);
       if (!r.ok()) return r.status();
       out.clustering = std::move(r.value().clustering);
       out.medoids = std::move(r.value().medoids);
@@ -160,7 +141,7 @@ Result<ClusterOutput> RunClustering(const NetworkView& view,
       break;
     }
     case Algorithm::kDbscan: {
-      Result<Clustering> r = DbscanCluster(view, spec.dbscan, accel, &frozen);
+      Result<Clustering> r = DbscanCluster(view, spec.dbscan, &frozen);
       if (!r.ok()) return r.status();
       out.clustering = std::move(r.value());
       break;
@@ -181,18 +162,9 @@ Result<ClusterOutput> RunClustering(const NetworkView& view,
     // invalidate the algorithm output audits below.
     NETCLUS_RETURN_IF_ERROR(ValidateFrozenGraph(view, frozen));
     NETCLUS_RETURN_IF_ERROR(ValidateOutput(view, spec, out));
-    // Re-prove every class of bound the index served during the run
-    // against independent exact traversals.
-    if (index != nullptr) {
-      NETCLUS_RETURN_IF_ERROR(ValidateDistanceAccelerator(view, *index));
-    }
     // The validators' own traversals may also have tripped a storage
     // error the algorithm's region never touched.
     NETCLUS_RETURN_IF_ERROR(view.status());
-  }
-  if (index != nullptr) {
-    out.index_stats = index->Stats();
-    index->PublishStats(&StatsCollector::Global());
   }
   out.wall_seconds = timer.ElapsedSeconds();
   return out;

@@ -6,13 +6,11 @@
 // ClusterOutput: a flat Clustering, the dendrogram when the algorithm is
 // hierarchical, per-run statistics, and the wall time.
 //
-// The legacy per-algorithm entry points (KMedoidsCluster,
-// EpsLinkCluster, DbscanCluster, SingleLinkCluster convenience
-// overloads) are [[deprecated]]: every in-tree caller goes through
-// RunClustering — MakeSpec() below turns an algorithm's options struct
-// into a one-algorithm spec — and netclus-lint bans new uses outside
-// tests/compat. The engine overloads taking an explicit FrozenGraph
-// remain as the internal dispatch surface RunClustering itself uses.
+// MakeSpec() below turns an algorithm's options struct into a
+// one-algorithm spec. The per-algorithm engines (KMedoidsCluster,
+// EpsLinkCluster, DbscanCluster, SingleLinkCluster) each take an
+// optional FrozenGraph snapshot; they are the dispatch surface
+// RunClustering itself uses, which freezes the view once per run.
 #ifndef NETCLUS_NETCLUS_H_
 #define NETCLUS_NETCLUS_H_
 
@@ -28,7 +26,6 @@
 #include "core/kmedoids.h"
 #include "core/single_link.h"
 #include "graph/network_view.h"
-#include "index/distance_index.h"
 
 namespace netclus {
 
@@ -74,16 +71,6 @@ struct ClusterSpec {
   /// with -DNETCLUS_VALIDATE=ON validate every run regardless of this
   /// flag.
   bool validate = false;
-
-  /// Network distance index (src/index/): landmark bounds, sharded
-  /// distance cache and nearest-object Voronoi tags. Off by default;
-  /// when `index.enable` is set the index is built before the run and
-  /// passed to the algorithms that accept an accelerator (k-medoids
-  /// swap pruning, DBSCAN range-query pruning). Clustering results are
-  /// identical with the index on or off — it only skips provably
-  /// irrelevant work — and validate mode re-proves the served bounds
-  /// against exact traversals.
-  IndexOptions index;
 };
 
 /// \brief The unified result of RunClustering.
@@ -100,16 +87,14 @@ struct ClusterOutput {
   double cost = 0.0;              ///< k-medoids: evaluation function R
   KMedoidsStats kmedoids_stats;   ///< k-medoids only
   SingleLinkStats single_link_stats;  ///< Single-Link only
-  IndexStats index_stats;         ///< distance index, when spec.index.enable
 
   /// Wall time of the whole run (including the flat cut).
   double wall_seconds = 0.0;
 };
 
-/// One-algorithm ClusterSpec from an options struct — the migration
-/// shim that turns a legacy per-algorithm call into the unified entry:
-///   KMedoidsCluster(view, opts)  ->  RunClustering(view, MakeSpec(opts))
-/// Every other spec field keeps its default (no index, no validate).
+/// One-algorithm ClusterSpec from an options struct:
+///   RunClustering(view, MakeSpec(kmedoids_options))
+/// Every other spec field keeps its default (no validate).
 ClusterSpec MakeSpec(const KMedoidsOptions& options);
 ClusterSpec MakeSpec(const EpsLinkOptions& options);
 ClusterSpec MakeSpec(const DbscanOptions& options);

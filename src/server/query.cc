@@ -4,6 +4,8 @@
 #include <cmath>
 #include <string>
 
+#include "index/distance_cache.h"
+
 namespace netclus {
 namespace {
 
@@ -123,7 +125,7 @@ Status ValidateQueryRequest(const NetworkView& view, const QueryRequest& req,
 
 Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
                         const QueryRequest& req, TraversalWorkspace* ws,
-                        const DistanceAccelerator* accel,
+                        const DistanceCache* cache,
                         const ClusterOutput* clusters, QueryResponse* out,
                         const IdentityMap* ids) {
   NETCLUS_RETURN_IF_ERROR(ValidateQueryRequest(view, req, clusters, ids));
@@ -140,30 +142,35 @@ Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
   const PointId pa = ResolveObject(ids, req.a, view.num_points());
   switch (req.kind) {
     case QueryKind::kPointDistance: {
+      // The cache keys on durable ObjectIds, so its entries stay valid
+      // across point-only republications that renumber the dense ids.
+      if (cache != nullptr && cache->Lookup(req.a, req.b, &out->distance)) {
+        break;
+      }
       const PointId pb = ResolveObject(ids, req.b, view.num_points());
-      // The accelerated overloads fall back to the exact path on a null
-      // accel; with the default threshold (kInfDist) they always return
-      // the exact distance, so accel on/off cannot change the payload.
-      out->distance = frozen ? PointNetworkDistance(view, *frozen, pa, pb, ws,
-                                                    accel)
-                             : PointNetworkDistance(view, pa, pb, ws, accel);
+      out->distance = frozen ? PointNetworkDistance(view, *frozen, pa, pb, ws)
+                             : PointNetworkDistance(view, pa, pb, ws);
+      // A cancelled expansion's value is garbage: never cache it.
+      if (cache != nullptr && !ws->cancel.triggered) {
+        cache->Store(req.a, req.b, out->distance);
+      }
       break;
     }
     case QueryKind::kRange: {
       std::vector<RangeResult>* raw = RawResultScratch();
       raw->clear();
       if (frozen) {
-        RangeQuery(view, *frozen, pa, req.eps, ws, accel, raw);
+        RangeQuery(view, *frozen, pa, req.eps, ws, raw);
       } else {
-        RangeQuery(view, pa, req.eps, ws, accel, raw);
+        RangeQuery(view, pa, req.eps, ws, raw);
       }
       out->results.reserve(raw->size());
       for (const RangeResult& r : *raw) {
         out->results.push_back(QueryResult{ObjectOfPoint(ids, r.id), r.dist});
       }
-      // The graph overloads emit in settle or dense-id order, neither of
-      // which survives renumbering; canonicalize on the durable ids so
-      // every execution style — and every epoch — agrees.
+      // The graph overloads emit in settle order, which does not survive
+      // renumbering; canonicalize on the durable ids so every execution
+      // style — and every epoch — agrees.
       std::sort(out->results.begin(), out->results.end(),
                 [](const QueryResult& a, const QueryResult& b) {
                   return a.id < b.id;
@@ -208,13 +215,13 @@ Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
 Result<QueryResponse> ExecuteQuery(const NetworkView& view,
                                    const FrozenGraph* frozen,
                                    const QueryRequest& req,
-                                   const DistanceAccelerator* accel,
+                                   const DistanceCache* cache,
                                    const ClusterOutput* clusters,
                                    const IdentityMap* ids) {
   TraversalWorkspace ws(view.num_nodes());
   QueryResponse out;
   NETCLUS_RETURN_IF_ERROR(
-      ExecuteQueryInto(view, frozen, req, &ws, accel, clusters, &out, ids));
+      ExecuteQueryInto(view, frozen, req, &ws, cache, clusters, &out, ids));
   return out;
 }
 
@@ -232,7 +239,7 @@ Status ValidateServedBatch(const NetworkView& view, const FrozenGraph* frozen,
   QueryResponse replay;
   for (size_t i = 0; i < requests.size(); ++i) {
     NETCLUS_RETURN_IF_ERROR(ExecuteQueryInto(view, frozen, requests[i], &ws,
-                                             /*accel=*/nullptr, clusters,
+                                             /*cache=*/nullptr, clusters,
                                              &replay, ids));
     if (!ResponsePayloadsEqual(replay, responses[i])) {
       return Status::Internal(

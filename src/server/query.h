@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/accelerator.h"
 #include "graph/network_distance.h"
 #include "graph/network_view.h"
 #include "graph/types.h"
@@ -43,6 +42,8 @@
 #include "server/identity_map.h"
 
 namespace netclus {
+
+class DistanceCache;
 
 /// The read operations the service answers.
 enum class QueryKind : uint8_t {
@@ -194,13 +195,17 @@ Status ValidateQueryRequest(const NetworkView& view, const QueryRequest& req,
 /// snapshot of `view`, see NetworkView::Freeze()) and the virtual view
 /// otherwise — results are bit-identical either way. `ws` provides the
 /// reusable traversal state (one per concurrent caller; lease from a
-/// WorkspacePool under parallelism). `accel` may be null (= exact
-/// unaccelerated path); a non-null accelerator never changes the
-/// payload, only the work done. `clusters` is consulted only by
-/// kClusterMembership. `ids` translates request ObjectIds into the
-/// epoch's dense numbering on the way in and result ids back on the way
-/// out (null = identity mapping). `out` is overwritten, reusing its
-/// vector capacity — the zero-allocation steady state for serving loops.
+/// WorkspacePool under parallelism). `cache`, when non-null, answers
+/// kPointDistance from its exact entries keyed on the request's own
+/// ObjectIds (`req.a`, `req.b`), and receives every distance the
+/// traversal computes unless the run was cancelled; it never changes
+/// the payload, only the work done (null = always traverse). It must
+/// have been filled under this view's network metric. `clusters` is
+/// consulted only by kClusterMembership. `ids` translates request
+/// ObjectIds into the epoch's dense numbering on the way in and result
+/// ids back on the way out (null = identity mapping). `out` is
+/// overwritten, reusing its vector capacity — the zero-allocation steady
+/// state for serving loops.
 ///
 /// Cancellation: the run honors `ws->cancel` (resetting its `triggered`
 /// latch first). When the armed flag fires mid-traversal the function
@@ -210,7 +215,7 @@ Status ValidateQueryRequest(const NetworkView& view, const QueryRequest& req,
 /// token at all.
 Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
                         const QueryRequest& req, TraversalWorkspace* ws,
-                        const DistanceAccelerator* accel,
+                        const DistanceCache* cache,
                         const ClusterOutput* clusters, QueryResponse* out,
                         const IdentityMap* ids = nullptr);
 
@@ -220,14 +225,14 @@ Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
 Result<QueryResponse> ExecuteQuery(const NetworkView& view,
                                    const FrozenGraph* frozen,
                                    const QueryRequest& req,
-                                   const DistanceAccelerator* accel = nullptr,
+                                   const DistanceCache* cache = nullptr,
                                    const ClusterOutput* clusters = nullptr,
                                    const IdentityMap* ids = nullptr);
 
 /// \brief The served-batch replay validator.
 ///
 /// Re-executes every request of a served batch through the inline path
-/// (ExecuteQueryInto, no accelerator) against the same `view`/`frozen`/
+/// (ExecuteQueryInto, no cache) against the same `view`/`frozen`/
 /// `ids` the batch was pinned to, and returns Internal on the first
 /// response whose payload is not bit-identical. This is the contract
 /// that makes "inline or served, same answer" enforceable rather than

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "graph/accelerator.h"
 #include "index/distance_cache.h"
 #include "server/identity_map.h"
 
@@ -28,43 +27,6 @@ constexpr size_t kMinHealthSamples = 16;
 // workers. Deliberately rough; replaced by the measured mean after the
 // first batch drains.
 constexpr double kColdStartPerRequestMs = 0.05;
-
-// The server-side accelerator: vacuous bounds plus the pinned epoch's
-// exact point-pair cache, keyed on durable ObjectIds. The traversal
-// hands over the epoch's dense point ids, so the accelerator translates
-// through the epoch's IdentityMap before touching the cache — which is
-// exactly what lets warm entries survive republication: the keys name
-// physical objects, not epoch-relative slots. An entry is only reused
-// across epochs when the publisher shared the cache (metric-preserving,
-// point-only batches); any edge mutation publishes a fresh cache, so a
-// hit can never return a distance the serving adjacency does not
-// produce. Accelerated serving stays bit-identical to the pure
-// unaccelerated replay — the cache only skips repeated work. `cache`
-// may be null (caching disabled); `ids` null means identity.
-class CacheOnlyAccelerator final : public DistanceAccelerator {
- public:
-  CacheOnlyAccelerator(const DistanceCache* cache, const IdentityMap* ids)
-      : cache_(cache), ids_(ids) {}
-
-  bool LookupDistance(PointId a, PointId b, double* out) const override {
-    if (cache_ == nullptr) return false;
-    const ObjectId oa = ObjectOfPoint(ids_, a);
-    const ObjectId ob = ObjectOfPoint(ids_, b);
-    if (oa == kInvalidObjectId || ob == kInvalidObjectId) return false;
-    return cache_->Lookup(oa, ob, out);
-  }
-  void StoreDistance(PointId a, PointId b, double dist) const override {
-    if (cache_ == nullptr) return;
-    const ObjectId oa = ObjectOfPoint(ids_, a);
-    const ObjectId ob = ObjectOfPoint(ids_, b);
-    if (oa == kInvalidObjectId || ob == kInvalidObjectId) return;
-    cache_->Store(oa, ob, dist);
-  }
-
- private:
-  const DistanceCache* cache_;
-  const IdentityMap* ids_;
-};
 
 }  // namespace
 
@@ -724,7 +686,6 @@ void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch) {
     return;
   }
   const EpochSnapshot& snap = *pin.snapshot();
-  CacheOnlyAccelerator accel(snap.cache(), snap.ids());
 
   // Chaos: the dispatcher (the only caller) decides per batch whether
   // one worker stalls, from its own seeded stream — deterministic in
@@ -753,7 +714,7 @@ void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch) {
       ws->cancel.check_interval = options_.cancel_check_interval;
     }
     statuses[i] = ExecuteQueryInto(snap.view(), &snap.frozen(), pq.req, ws,
-                                   &accel, snap.clusters(), &responses[i],
+                                   snap.cache(), snap.clusters(), &responses[i],
                                    snap.ids());
     // Disarm before the workspace returns to the pool: leases outlive
     // requests, and a stale flag pointer must never cancel a stranger.

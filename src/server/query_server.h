@@ -9,9 +9,9 @@
 //                                          │ pins current epoch once
 //                                          ▼
 //                              ThreadPool::ParallelFor over the batch
-//                              (FrozenGraph traversals, the epoch's
-//                               private DistanceCache as a pure
-//                               accelerator)
+//                              (FrozenGraph traversals; point
+//                               distances through the epoch's
+//                               ObjectId-keyed DistanceCache)
 //                                          │
 //                                          ▼ optional replay validation
 //                              promises fulfilled, epoch id stamped
@@ -478,8 +478,8 @@ class QueryServer {
   bool outcome_full_ NETCLUS_GUARDED_BY(stats_mu_) = false;
   size_t outcome_misses_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
 
-  // PublishStats delta tracking (same pattern as DistanceIndex; same
-  // rank — the two publication locks are never held together).
+  // PublishStats delta tracking: the last totals flushed, so each
+  // publish emits only the delta since the previous one.
   mutable Mutex publish_stats_mu_{lock_rank::kStatsPublish,
                                   "QueryServer::publish_stats_mu_"};
   mutable ServerStats published_stats_ NETCLUS_GUARDED_BY(publish_stats_mu_);

@@ -3,10 +3,9 @@
 // Freeze() on both view implementations (in-memory and disk-backed),
 // edge-weight and point-range lookups, the validator's rejection of a
 // corrupted snapshot, identical Dijkstra traversal counters over view
-// and snapshot, and snapshot ownership across Network mutation. The
-// per-algorithm frozen-vs-live bit-identity checks live in
-// tests/compat/legacy_api_test.cc (they exercise the deprecated
-// per-algorithm entry points).
+// and snapshot, snapshot ownership across Network mutation, and the
+// per-algorithm frozen-vs-live bit-identity of every engine (each run
+// once with a null snapshot and once with &frozen).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -211,25 +210,82 @@ TEST(FrozenGraphTest, DijkstraCountersIdenticalOverViewAndSnapshot) {
   }
 }
 
-// The per-algorithm frozen-vs-live equivalence tests moved to
-// tests/compat/legacy_api_test.cc together with the other deprecated
-// entry-point checks; OPTICS (not deprecated) stays here.
+// Per-algorithm frozen-vs-live equivalence: each engine run over the
+// live view (null snapshot) and over the snapshot must agree bit for bit.
 class FrozenRunFixture : public ::testing::Test {
  protected:
   void SetUp() override { s_.emplace(90, 140, 71); }
   std::optional<Scenario> s_;
 };
 
+TEST_F(FrozenRunFixture, KMedoidsFrozenIdentical) {
+  KMedoidsOptions options;
+  options.k = 5;
+  options.seed = 72;
+  Result<KMedoidsResult> live = KMedoidsCluster(*s_->view, options, nullptr);
+  Result<KMedoidsResult> frozen =
+      KMedoidsCluster(*s_->view, options, &s_->frozen);
+  ASSERT_TRUE(live.ok() && frozen.ok());
+  EXPECT_EQ(frozen.value().clustering.assignment,
+            live.value().clustering.assignment);
+  EXPECT_EQ(frozen.value().medoids, live.value().medoids);
+  EXPECT_EQ(frozen.value().cost, live.value().cost);
+}
+
+TEST_F(FrozenRunFixture, EpsLinkFrozenIdentical) {
+  EpsLinkOptions options;
+  options.eps = 3.0;
+  options.min_sup = 3;
+  Result<Clustering> live = EpsLinkCluster(*s_->view, options, nullptr);
+  Result<Clustering> frozen = EpsLinkCluster(*s_->view, options, &s_->frozen);
+  ASSERT_TRUE(live.ok() && frozen.ok());
+  EXPECT_EQ(frozen.value().assignment, live.value().assignment);
+  EXPECT_EQ(frozen.value().num_clusters, live.value().num_clusters);
+}
+
+TEST_F(FrozenRunFixture, SingleLinkFrozenIdentical) {
+  SingleLinkOptions options;
+  options.delta = 1.0;
+  Result<SingleLinkResult> live =
+      SingleLinkCluster(*s_->view, options, nullptr);
+  Result<SingleLinkResult> frozen =
+      SingleLinkCluster(*s_->view, options, &s_->frozen);
+  ASSERT_TRUE(live.ok() && frozen.ok());
+  const auto& lm = live.value().dendrogram.merges();
+  const auto& fm = frozen.value().dendrogram.merges();
+  ASSERT_EQ(fm.size(), lm.size());
+  for (size_t i = 0; i < lm.size(); ++i) {
+    EXPECT_EQ(fm[i].a, lm[i].a);
+    EXPECT_EQ(fm[i].b, lm[i].b);
+    EXPECT_EQ(fm[i].distance, lm[i].distance);
+  }
+}
+
+TEST_F(FrozenRunFixture, DbscanFrozenIdenticalSerialAndParallel) {
+  DbscanOptions options;
+  options.eps = 3.0;
+  options.min_pts = 3;
+  for (uint32_t threads : {1u, 4u}) {
+    options.num_threads = threads;
+    Result<Clustering> live = DbscanCluster(*s_->view, options, nullptr);
+    Result<Clustering> frozen =
+        DbscanCluster(*s_->view, options, &s_->frozen);
+    ASSERT_TRUE(live.ok() && frozen.ok());
+    EXPECT_EQ(frozen.value().assignment, live.value().assignment)
+        << "threads = " << threads;
+  }
+}
+
 TEST_F(FrozenRunFixture, OpticsIdentical) {
   OpticsOptions options;
   options.eps = 3.0;
   options.min_pts = 3;
-  Result<OpticsResult> legacy = OpticsOrder(*s_->view, options);
+  Result<OpticsResult> live = OpticsOrder(*s_->view, options);
   Result<OpticsResult> frozen = OpticsOrder(*s_->view, options, &s_->frozen);
-  ASSERT_TRUE(legacy.ok() && frozen.ok());
-  EXPECT_EQ(frozen.value().order, legacy.value().order);
-  EXPECT_EQ(frozen.value().reachability, legacy.value().reachability);
-  EXPECT_EQ(frozen.value().core_distance, legacy.value().core_distance);
+  ASSERT_TRUE(live.ok() && frozen.ok());
+  EXPECT_EQ(frozen.value().order, live.value().order);
+  EXPECT_EQ(frozen.value().reachability, live.value().reachability);
+  EXPECT_EQ(frozen.value().core_distance, live.value().core_distance);
 }
 
 // RunClustering freezes internally; with validation on, every algorithm

@@ -218,9 +218,6 @@ TEST_P(KMedoidsParallelRestartTest, ParallelRestartsMatchSerialBitExactly) {
 INSTANTIATE_TEST_SUITE_P(Seeds, KMedoidsParallelRestartTest,
                          ::testing::Values(101u, 102u, 103u));
 
-// The null-accelerator-overload equivalence test lives in
-// tests/compat/legacy_api_test.cc with the other legacy-entry checks.
-
 TEST(KMedoidsTest, RejectsBadInitialMedoids) {
   GeneratedNetwork g = GenerateRoadNetwork({30, 1.3, 0.3, 121});
   PointSet ps = std::move(GenerateUniformPoints(g.net, 10, 122)).value();

@@ -1,7 +1,8 @@
-// Tests for the unified RunClustering entry point: name parsing, the
-// MakeSpec shim, output shape, the Single-Link cut cascade, and the
-// evaluation wrapper built on top of it. Parity with the deprecated
-// per-algorithm entry points is proven in tests/compat/legacy_api_test.cc.
+// Tests for the unified RunClustering entry point: name parsing,
+// MakeSpec, output shape, the Single-Link cut cascade, and the
+// evaluation wrapper built on top of it. RunClustering runs every engine
+// over a FrozenGraph snapshot; the engines' frozen-vs-live bit-identity
+// is proven in tests/frozen_graph_test.cc.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -41,9 +42,7 @@ class NetclusApiFixture : public ::testing::Test {
   std::optional<InMemoryNetworkView> view_;
 };
 
-// Parity of RunClustering with the deprecated per-algorithm entry
-// points is proven in tests/compat/legacy_api_test.cc; here the output
-// shape and the MakeSpec shim are checked on their own terms.
+// The output shape and MakeSpec, checked on their own terms.
 TEST_F(NetclusApiFixture, KMedoidsOutputShape) {
   ClusterSpec spec = MakeSpec(KMedoidsOptions{});
   spec.kmedoids.k = 4;
@@ -82,8 +81,7 @@ TEST_F(NetclusApiFixture, MakeSpecSelectsAlgorithmAndCarriesOptions) {
   EXPECT_EQ(ss.single_link.delta, 0.2);
   EXPECT_EQ(ss.cut_distance, 0.9);
   EXPECT_EQ(ss.cut_min_size, 3u);
-  // The spec defaults stay untouched: no index, no validate.
-  EXPECT_FALSE(ss.index.enable);
+  // The spec defaults stay untouched: no validate.
   EXPECT_FALSE(ss.validate);
 }
 

@@ -638,6 +638,65 @@ TEST(IncrementalEpochTest, CarriedCacheStaysCorrectAcrossRenumbering) {
   EXPECT_DOUBLE_EQ(again.value().distance, 11.0);
 }
 
+// The served distance cache changes work, never answers: a point
+// distance served from a warm cache equals the uncached inline replay
+// bit for bit, and a traversal cancelled mid-expansion stores nothing.
+TEST(QueryServerTest, CachedPointDistanceMatchesUncachedAndSkipsCancelled) {
+  World w(200, 300, 83);
+  InMemoryNetworkView view(w.gen.net, w.points);
+  FrozenGraph frozen = std::move(view.Freeze()).value();
+  TraversalWorkspace ws(view.num_nodes());
+  QueryResponse uncached;
+  QueryResponse cached;
+
+  // Served end to end: the second identical request reads the epoch's
+  // warm cache entry the first one stored.
+  QueryServerOptions opts;
+  opts.num_workers = 1;
+  Result<std::unique_ptr<QueryServer>> started =
+      QueryServer::Start(w.gen.net, w.points, opts);
+  ASSERT_TRUE(started.ok());
+  QueryServer& server = *started.value();
+  for (ObjectId b = 1; b < 20; ++b) {
+    const QueryRequest req = QueryRequest::PointDistance(0, b);
+    ASSERT_TRUE(server.Execute(req).ok());
+    Result<QueryResponse> warm = server.Execute(req);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    ASSERT_TRUE(ExecuteQueryInto(view, nullptr, req, &ws, nullptr, nullptr,
+                                 &uncached)
+                    .ok());
+    EXPECT_TRUE(ResponsePayloadsEqual(warm.value(), uncached)) << "b = " << b;
+  }
+
+  // The execution core the server runs, with the cache in hand: the
+  // second lookup is a hit and its payload is the uncached one.
+  DistanceCache cache(64, 1);
+  const QueryRequest req = QueryRequest::PointDistance(3, 250);
+  ASSERT_TRUE(
+      ExecuteQueryInto(view, &frozen, req, &ws, &cache, nullptr, &cached).ok());
+  EXPECT_EQ(cache.counters().stores, 1u);
+  ASSERT_TRUE(
+      ExecuteQueryInto(view, &frozen, req, &ws, &cache, nullptr, &cached).ok());
+  EXPECT_EQ(cache.counters().hits, 1u);
+  ASSERT_TRUE(
+      ExecuteQueryInto(view, &frozen, req, &ws, nullptr, nullptr, &uncached)
+          .ok());
+  EXPECT_TRUE(ResponsePayloadsEqual(cached, uncached));
+
+  // An armed token that fires on the first settle: the run reports
+  // DeadlineExceeded and the garbage partial distance is not cached.
+  const std::atomic<bool> fired{true};
+  ws.cancel.flag = &fired;
+  ws.cancel.check_interval = 1;
+  const QueryRequest victim = QueryRequest::PointDistance(7, 180);
+  Status st =
+      ExecuteQueryInto(view, &frozen, victim, &ws, &cache, nullptr, &cached);
+  EXPECT_TRUE(st.IsDeadlineExceeded()) << st.ToString();
+  double d = 0.0;
+  EXPECT_FALSE(cache.Lookup(victim.a, victim.b, &d));
+  EXPECT_EQ(cache.counters().stores, 1u);
+}
+
 TEST(QueryServerTest, RejectedUpdatesPublishNothing) {
   PathWorld w;
   QueryServerOptions opts;
