@@ -19,16 +19,13 @@
 //
 // Gate: throughput must scale from 1 to 4 workers. The bar is
 // hardware-aware — on a multi-core host 4 workers must beat 1 by 5%;
-// on a single core they only have to stay within 2x (the batching
+// on a single core they only have to stay within 2x (the thread
 // overhead bound), since there is no parallelism to win.
 //
 // On 4 -> 8 workers a qps *dip* is expected rather than a win, and it
 // is annotated, not gated: past the physical core count the extra
-// workers only oversubscribe (on this repo's 1-core CI container, 8
-// workers time-slice one core), ParallelFor slices each <=64-request
-// batch into smaller per-worker chunks whose wakeup/handoff cost is
-// paid per slice, and the single dispatcher thread — which also runs
-// replay validation — competes with its own workers for cycles.
+// workers only oversubscribe (on a 1-core host, 8 workers time-slice
+// one core) and contend for the one admission-queue lock.
 #include <algorithm>
 #include <cstdio>
 #include <deque>
@@ -176,7 +173,6 @@ RunResult RunAtWorkers(const Network& net, const PointSet& points,
   QueryServerOptions opts;
   opts.num_workers = workers;
   opts.max_queue_depth = 256;
-  opts.max_batch_size = 64;
   std::unique_ptr<QueryServer> server =
       std::move(QueryServer::Start(net, points, opts).value());
 
@@ -342,7 +338,7 @@ int main() {
   const double ratio =
       results[1].second.accepted_qps / results[0].second.accepted_qps;
   const unsigned cores = std::thread::hardware_concurrency();
-  double floor = 0.5;  // single core: batching overhead bounded by 2x
+  double floor = 0.5;  // single core: thread overhead bounded by 2x
   if (cores >= 4) {
     floor = 1.05;
   } else if (cores >= 2) {
@@ -358,9 +354,8 @@ int main() {
   }
 
   // 4 -> 8 workers: annotated, not gated. Past the physical core count
-  // the extra workers oversubscribe, ParallelFor pays per-slice wakeup
-  // cost on smaller chunks, and the dispatcher competes with its own
-  // workers for cycles — a dip here is expected (see header comment).
+  // the extra workers oversubscribe and contend for the admission
+  // queue — a dip here is expected (see header comment).
   const double ratio48 =
       results[2].second.accepted_qps / results[1].second.accepted_qps;
   std::printf("scaling 4->8 workers: %.2fx (annotation only: %s on %u "

@@ -9,6 +9,7 @@
 //   netclus_cli cluster --in town.net --algo singlelink --cut 0.5
 //   netclus_cli serve --in town.net --workers 4 --clients 4
 //       --queries 2000 --mutations 16
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -44,6 +46,45 @@ const char* FlagValue(int argc, char** argv, const char* name,
   return fallback;
 }
 
+// The flags each subcommand accepts. Every flag takes one value.
+const std::vector<std::string>* AcceptedFlags(const std::string& cmd) {
+  static const std::vector<std::pair<std::string, std::vector<std::string>>>
+      kAccepted = {
+          {"generate",
+           {"--nodes", "--points", "--clusters", "--seed", "--out"}},
+          {"suggest", {"--in"}},
+          {"cluster",
+           {"--in", "--algo", "--eps", "--k", "--minpts", "--minsup",
+            "--delta", "--cut", "--seed", "--threads", "--restarts"}},
+          {"serve",
+           {"--in", "--workers", "--clients", "--queries", "--mutations",
+            "--eps", "--validate", "--seed", "--wal",
+            "--wal-checkpoint-every", "--deadline-ms", "--port",
+            "--port-file", "--serve-seconds", "--stop-file"}},
+          {"wal", {"--wal"}},
+          {"query",
+           {"--in", "--connect", "--queries", "--clients", "--check", "--eps",
+            "--seed", "--deadline-ms"}},
+      };
+  for (const auto& [name, flags] : kAccepted) {
+    if (name == cmd) return &flags;
+  }
+  return nullptr;
+}
+
+// The first flag in argv[first..] (flag/value pairs) that `accepted`
+// does not list, or nullptr when every flag is known.
+const char* UnknownFlag(int argc, char** argv, int first,
+                        const std::vector<std::string>& accepted) {
+  for (int i = first; i < argc; i += 2) {
+    if (std::find(accepted.begin(), accepted.end(), argv[i]) ==
+        accepted.end()) {
+      return argv[i];
+    }
+  }
+  return nullptr;
+}
+
 int Fail(const Status& s) {
   std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
   return 1;
@@ -51,7 +92,8 @@ int Fail(const Status& s) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: netclus_cli generate|suggest|cluster [flags]\n"
+               "usage: netclus_cli generate|suggest|cluster|serve|wal|query "
+               "[flags]\n"
                "  generate --nodes N --points P --clusters K [--seed S] "
                "--out FILE\n"
                "  suggest  --in FILE\n"
@@ -458,10 +500,10 @@ int RunServe(int argc, char** argv, const Network& net,
               static_cast<unsigned long long>(stats.epochs_published),
               static_cast<unsigned long long>(stats.epochs_drained),
               static_cast<unsigned long long>(server.current_epoch()));
-  std::printf("batches %llu (mean size %.1f, mean %.2f ms); queue wait mean "
+  std::printf("requests executed %llu (mean %.2f ms); queue wait mean "
               "%.2f ms, max %.2f ms\n",
               static_cast<unsigned long long>(stats.batches),
-              stats.mean_batch_size, stats.mean_batch_ms,
+              stats.mean_batch_ms,
               stats.mean_queue_wait_ms, stats.max_queue_wait_ms);
   if (opts.validate_replay) {
     std::printf("replay: %llu batches validated, %llu mismatches\n",
@@ -634,6 +676,16 @@ int RunQuery(int argc, char** argv, const PointSet& points,
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string cmd = argv[1];
+  const std::vector<std::string>* accepted = AcceptedFlags(cmd);
+  if (accepted == nullptr) return Usage();
+  // `wal inspect` carries its action word before the flags.
+  const int first_flag = cmd == "wal" ? 3 : 2;
+  const char* unknown = UnknownFlag(argc, argv, first_flag, *accepted);
+  if (unknown != nullptr) {
+    std::fprintf(stderr, "error: unknown flag %s for %s\n", unknown,
+                 cmd.c_str());
+    return Usage();
+  }
   if (cmd == "generate") return RunGenerate(argc, argv);
   // `wal inspect` works on durability files alone — no --in network.
   if (cmd == "wal") {

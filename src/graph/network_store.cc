@@ -26,11 +26,9 @@ constexpr uint64_t kAdjMagic = 0x4E43414A464C4154ULL;  // "NCAJFLAT"
 constexpr uint64_t kPtsMagic = 0x4E435054464C4154ULL;  // "NCPTFLAT"
 constexpr size_t kPageHeader = 2;                       // used bytes u16
 
-// On-disk format version written by Build(). Files written before the
-// version field existed read 0 there and are treated as version 1
-// (no page checksums); version 2 adds the CRC32C page footer.
+// On-disk format version written by Build() and the only one Open()
+// accepts (every page carries the CRC32C footer).
 constexpr uint32_t kFormatVersion = 2;
-constexpr uint32_t kChecksummedSinceVersion = 2;
 // Version field offsets within the two header pages.
 constexpr size_t kAdjVersionOffset = 16;
 constexpr size_t kPtsVersionOffset = 12;
@@ -197,7 +195,6 @@ Result<std::unique_ptr<NetworkStore>> NetworkStore::Build(
       std::unique_ptr<NetworkStore>(new NetworkStore(bm, adj_flat, pts_flat));
   store->num_nodes_ = net.num_nodes();
   store->num_points_ = points.size();
-  store->format_version_ = kFormatVersion;
 
   // --- Adjacency flat file: header page, then records in placement order.
   {
@@ -277,42 +274,31 @@ Result<std::unique_ptr<NetworkStore>> NetworkStore::Build(
 
 Result<std::unique_ptr<NetworkStore>> NetworkStore::Open(
     BufferManager* bm, const NetworkStoreFiles& files) {
-  // Sniff the adjacency header straight from the file (bypassing the
-  // pool) to learn the format version before deciding whether the four
-  // files must be registered with checksum verification.
-  uint32_t version;
-  {
-    if (files.adj_flat->num_pages() == 0) {
-      return Status::Corruption("adjacency file: missing header page");
-    }
-    std::vector<char> header(files.adj_flat->page_size());
-    NETCLUS_RETURN_IF_ERROR(files.adj_flat->ReadPage(0, header.data()));
-    if (Load<uint64_t>(header.data()) != kAdjMagic) {
-      return Status::Corruption("adjacency file: bad magic");
-    }
-    version = Load<uint32_t>(header.data() + kAdjVersionOffset);
-    if (version == 0) version = 1;  // files predating the version field
-    if (version > kFormatVersion) {
-      return Status::Corruption("adjacency file: format version " +
-                                std::to_string(version) +
-                                " is newer than this build supports");
-    }
+  if (files.adj_flat->num_pages() == 0) {
+    return Status::Corruption("adjacency file: missing header page");
   }
-  const bool checksummed = version >= kChecksummedSinceVersion;
-  FileId adj_flat = bm->RegisterFile(files.adj_flat, checksummed);
-  FileId adj_index = bm->RegisterFile(files.adj_index, checksummed);
-  FileId pts_flat = bm->RegisterFile(files.pts_flat, checksummed);
-  FileId pts_index = bm->RegisterFile(files.pts_index, checksummed);
+  // Every file is verified against its page checksums; the header pages
+  // must then name exactly the format this build writes.
+  FileId adj_flat = bm->RegisterFile(files.adj_flat, /*checksummed=*/true);
+  FileId adj_index = bm->RegisterFile(files.adj_index, /*checksummed=*/true);
+  FileId pts_flat = bm->RegisterFile(files.pts_flat, /*checksummed=*/true);
+  FileId pts_index = bm->RegisterFile(files.pts_index, /*checksummed=*/true);
   auto store =
       std::unique_ptr<NetworkStore>(new NetworkStore(bm, adj_flat, pts_flat));
-  store->format_version_ = version;
+  auto check_version = [](const char* file, uint32_t version) {
+    if (version == kFormatVersion) return Status::OK();
+    return Status::Corruption(std::string(file) + ": format version " +
+                              std::to_string(version) + ", expected " +
+                              std::to_string(kFormatVersion));
+  };
   {
-    // Re-read through the pool so a checksummed header page is verified.
     Result<PageHandle> h = bm->FetchPage(adj_flat, 0);
     if (!h.ok()) return h.status();
     if (Load<uint64_t>(h.value().data()) != kAdjMagic) {
       return Status::Corruption("adjacency file: bad magic");
     }
+    NETCLUS_RETURN_IF_ERROR(check_version(
+        "adjacency file", Load<uint32_t>(h.value().data() + kAdjVersionOffset)));
     store->num_nodes_ = Load<uint32_t>(h.value().data() + 8);
     store->num_points_ = Load<uint32_t>(h.value().data() + 12);
   }
@@ -322,15 +308,8 @@ Result<std::unique_ptr<NetworkStore>> NetworkStore::Open(
     if (Load<uint64_t>(h.value().data()) != kPtsMagic) {
       return Status::Corruption("points file: bad magic");
     }
-    uint32_t pts_version =
-        Load<uint32_t>(h.value().data() + kPtsVersionOffset);
-    if (pts_version == 0) pts_version = 1;
-    if (pts_version != version) {
-      return Status::Corruption("points file: format version " +
-                                std::to_string(pts_version) +
-                                " does not match adjacency file version " +
-                                std::to_string(version));
-    }
+    NETCLUS_RETURN_IF_ERROR(check_version(
+        "points file", Load<uint32_t>(h.value().data() + kPtsVersionOffset)));
   }
   Result<std::unique_ptr<BPlusTree>> ai = BPlusTree::Open(bm, adj_index);
   if (!ai.ok()) return ai.status();

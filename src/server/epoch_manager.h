@@ -13,7 +13,7 @@
 //        v                 the sweep (run on every publish/release and
 //   freed                   on demand) frees a retired snapshot once its
 //                           pins read zero — never sooner, so readers
-//                           mid-batch keep a stable world
+//                           mid-request keep a stable world
 //
 // Synchronization contract: Acquire and Publish serialize on one brief
 // mutex (a pointer read + refcount bump; no traversal work happens under
@@ -50,7 +50,7 @@ class EpochManager {
   EpochManager& operator=(const EpochManager&) = delete;
 
   /// \brief RAII epoch pin: holds one reference in the worker's slot
-  /// (plus shared ownership of the snapshot) for the scope of a batch.
+  /// (plus shared ownership of the snapshot) for the scope of a request.
   class Pin {
    public:
     Pin() = default;
@@ -89,7 +89,7 @@ class EpochManager {
   };
 
   /// Pins the current epoch into reader slot `slot % num_pin_slots()`
-  /// (reduced so an arbitrary rotation counter is a valid argument).
+  /// (reduced, so any slot id is a valid argument).
   /// Returns an empty pin when nothing has been published yet.
   Pin Acquire(uint32_t slot) NETCLUS_EXCLUDES(mu_);
 
@@ -137,7 +137,7 @@ class EpochManager {
   void SweepRetiredLocked() NETCLUS_REQUIRES(mu_);
 
   const uint32_t num_pin_slots_;
-  // Rank kEpochManager: above the serving queues (the dispatcher has
+  // Rank kEpochManager: above the serving queues (a worker has
   // released queue_mu_ before it pins an epoch) and below the worker
   // resource locks; the sweep destroys snapshots under this mutex, so
   // snapshot teardown must stay lock-free. Rationale: DESIGN.md §14.

@@ -17,8 +17,8 @@
 // same ExecuteQueryInto core, and ValidateServedBatch replays a served
 // batch through the inline path and demands payload equality down to
 // the last double bit. The query server runs that validator on every
-// batch when QueryServerOptions::validate_replay is set (and always
-// under -DNETCLUS_VALIDATE=ON builds).
+// served request when QueryServerOptions::validate_replay is set (and
+// always under -DNETCLUS_VALIDATE=ON builds).
 //
 // Identity: requests and responses speak durable ObjectIds, never the
 // epoch-relative dense point numbering (netclus-lint bans the dense id

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "common/thread_pool.h"
 #include "index/distance_cache.h"
 #include "server/identity_map.h"
 
@@ -22,10 +23,9 @@ constexpr uint32_t kWalPageSize = 4096;
 // cold server must not read as degradation.
 constexpr size_t kMinHealthSamples = 16;
 
-// Cold-start backpressure model: with no measured batch rate yet,
-// assume roughly this much work per queued request, spread across the
-// workers. Deliberately rough; replaced by the measured mean after the
-// first batch drains.
+// Cold-start backpressure model: with no measured service time yet,
+// assume roughly this much work per queued request. Deliberately rough;
+// replaced by the measured mean once the first request completes.
 constexpr double kColdStartPerRequestMs = 0.05;
 
 }  // namespace
@@ -34,9 +34,6 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Start(
     Network net, PointSet points, const QueryServerOptions& options) {
   if (options.max_queue_depth == 0) {
     return Status::InvalidArgument("max_queue_depth must be >= 1");
-  }
-  if (options.max_batch_size == 0) {
-    return Status::InvalidArgument("max_batch_size must be >= 1");
   }
   // The live world keeps point placements in raw (re-buildable) form so
   // kAddPoint mutations compose with the initial population.
@@ -64,7 +61,15 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Start(
   // clustering (or freeze) fails Start instead of leaving a server with
   // nothing to serve.
   NETCLUS_RETURN_IF_ERROR(server->PublishWorld());
-  server->dispatcher_ = std::thread([s = server.get()] { s->DispatcherLoop(); });
+  // Node count is fixed at Start, so each worker sizes its workspace
+  // once, here, before the updater starts mutating the live network.
+  const NodeId num_nodes = server->net_.num_nodes();
+  const uint32_t num_workers = server->epochs_.num_pin_slots();
+  server->workers_.reserve(num_workers);
+  for (uint32_t w = 0; w < num_workers; ++w) {
+    server->workers_.emplace_back(
+        [s = server.get(), w, num_nodes] { s->WorkerLoop(w, num_nodes); });
+  }
   server->updater_ = std::thread([s = server.get()] { s->UpdaterLoop(); });
   server->watchdog_ = std::thread([s = server.get()] { s->WatchdogLoop(); });
   return server;
@@ -76,11 +81,7 @@ QueryServer::QueryServer(Network net, std::vector<NetworkUpdate> raw_points,
       net_(std::move(net)),
       raw_points_(std::move(raw_points)),
       epochs_(ResolveNumThreads(options.num_workers)),
-      pool_(std::make_unique<ThreadPool>(
-          ResolveNumThreads(options.num_workers))),
-      workspaces_(net_.num_nodes()),
-      chaos_publish_rng_(Rng::DeriveSeed(options.chaos.seed, 1)),
-      chaos_stall_rng_(Rng::DeriveSeed(options.chaos.seed, 2)) {
+      chaos_publish_rng_(Rng::DeriveSeed(options.chaos.seed, 1)) {
   // Boot identity: points take ObjectIds 0..n-1 in their dense boot
   // order (the raws were extracted from the PointSet in group order, so
   // the boot epoch's identity map is exactly the identity permutation),
@@ -436,12 +437,11 @@ std::future<Result<QueryResponse>> QueryServer::Submit(
     return fut;
   }
   if (queue_.size() >= options_.max_queue_depth) {
-    // Backpressure: reject now with a retry-after hint. Warm, the hint
-    // is the measured mean batch duration scaled by how many batches
-    // the current backlog represents; cold (nothing drained yet, so no
-    // measured rate) it is a depth- and worker-aware model instead of a
-    // blind constant. Clients read the structured field; the text echo
-    // is for humans and logs.
+    // Backpressure: reject now with a retry-after hint — the time the
+    // workers need to drain the backlog: mean per-request service time
+    // (a fixed prior until one request has completed) x queue depth /
+    // workers. Clients read the structured field; the text echo is for
+    // humans and logs.
     const double depth = static_cast<double>(queue_.size());
     double retry_ms;
     {
@@ -449,16 +449,10 @@ std::future<Result<QueryResponse>> QueryServer::Submit(
       // nesting between the serving locks.
       MutexLock slock(&stats_mu_);
       ++rejected_;
-      if (batch_ms_.count() > 0) {
-        const double batches_queued = std::max(
-            1.0, std::ceil(depth /
-                           static_cast<double>(options_.max_batch_size)));
-        retry_ms = batch_ms_.mean() * batches_queued;
-      } else {
-        retry_ms = std::max(
-            0.1, kColdStartPerRequestMs * depth /
-                     static_cast<double>(pool_->size()));
-      }
+      const double per_request_ms =
+          batch_ms_.count() > 0 ? batch_ms_.mean() : kColdStartPerRequestMs;
+      retry_ms = std::max(0.1, per_request_ms * depth /
+                                   static_cast<double>(workers_.size()));
     }
     lock.Unlock();
     pq.promise.set_value(Status::UnavailableWithRetry(
@@ -527,7 +521,9 @@ void QueryServer::Stop() {
     deadline_stopping_ = true;
   }
   deadline_cv_.NotifyAll();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
   if (updater_.joinable()) updater_.join();
   if (watchdog_.joinable()) watchdog_.join();
 }
@@ -591,49 +587,41 @@ double QueryServer::DeadlineMissRateLocked() const {
   return static_cast<double>(outcome_misses_) / static_cast<double>(samples);
 }
 
-void QueryServer::DispatcherLoop() {
+void QueryServer::WorkerLoop(uint32_t worker, NodeId num_nodes) {
+  TraversalWorkspace ws(num_nodes);
+  Rng stall_rng(Rng::DeriveSeed(options_.chaos.seed, 2 + uint64_t{worker}));
   for (;;) {
-    std::vector<PendingQuery> batch;
-    std::vector<PendingQuery> shed;
+    PendingQuery pq;
+    double now;
     {
       MutexLock lock(&queue_mu_);
       while (!stopping_ && queue_.empty()) queue_cv_.Wait(&queue_mu_);
-      if (queue_.empty()) {
-        if (stopping_) return;  // drained; accepted work always finishes
-        continue;
-      }
-      // Shed requests whose deadline already passed while they waited:
-      // they resolve with kDeadlineExceeded right here, costing no
-      // worker, and never count against the batch.
-      const double now = clock_.ElapsedSeconds();
-      while (batch.size() < options_.max_batch_size && !queue_.empty()) {
-        PendingQuery pq = std::move(queue_.front());
-        queue_.pop_front();
-        if (pq.deadline_seconds > 0.0 && now >= pq.deadline_seconds) {
-          shed.push_back(std::move(pq));
-        } else {
-          batch.push_back(std::move(pq));
-        }
-      }
+      // Stop joins only once the queue is empty: accepted work always
+      // finishes.
+      if (queue_.empty()) return;
+      pq = std::move(queue_.front());
+      queue_.pop_front();
+      now = clock_.ElapsedSeconds();
     }
-    if (!shed.empty()) {
+    if (pq.deadline_seconds > 0.0 && now >= pq.deadline_seconds) {
+      // Shed a request whose deadline passed while it waited: it
+      // resolves with kDeadlineExceeded right here, costing no
+      // traversal. It still completes (with an error) — every accepted
+      // request resolves exactly once.
       {
         MutexLock slock(&stats_mu_);
-        // Shed requests complete (with an error) — every accepted
-        // request still resolves exactly once.
-        completed_ += shed.size();
-        deadline_expired_ += shed.size();
-        for (size_t i = 0; i < shed.size(); ++i) RecordOutcomeLocked(true);
+        ++completed_;
+        ++deadline_expired_;
+        RecordOutcomeLocked(true);
       }
-      for (PendingQuery& pq : shed) {
-        const double late_ms =
-            (clock_.ElapsedSeconds() - pq.deadline_seconds) * 1e3;
-        pq.promise.set_value(Status::DeadlineExceeded(
-            "deadline passed " + std::to_string(late_ms) +
-            " ms ago while queued; request shed before execution"));
-      }
+      const double late_ms =
+          (clock_.ElapsedSeconds() - pq.deadline_seconds) * 1e3;
+      pq.promise.set_value(Status::DeadlineExceeded(
+          "deadline passed " + std::to_string(late_ms) +
+          " ms ago while queued; request shed before execution"));
+      continue;
     }
-    if (!batch.empty()) ExecuteBatch(&batch);
+    ExecuteOne(&pq, now, worker, &ws, &stall_rng);
   }
 }
 
@@ -675,120 +663,85 @@ void QueryServer::WatchdogLoop() {
   }
 }
 
-void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch) {
-  const double start_seconds = clock_.ElapsedSeconds();
-  EpochManager::Pin pin =
-      epochs_.Acquire(pin_slot_rr_++ % epochs_.num_pin_slots());
-  if (!pin) {
-    for (PendingQuery& pq : *batch) {
-      pq.promise.set_value(Status::Internal("no epoch published"));
-    }
-    return;
-  }
+void QueryServer::ExecuteOne(PendingQuery* pq, double start_seconds,
+                             uint32_t worker, TraversalWorkspace* ws,
+                             Rng* stall_rng) {
+  // Never empty: Start publishes epoch 1 before any worker starts.
+  EpochManager::Pin pin = epochs_.Acquire(worker);
   const EpochSnapshot& snap = *pin.snapshot();
 
-  // Chaos: the dispatcher (the only caller) decides per batch whether
-  // one worker stalls, from its own seeded stream — deterministic in
-  // the batch sequence.
-  double stall_ms = 0.0;
+  // Chaos: each worker decides per request, from its own seeded stream,
+  // whether to stall before executing.
   if (options_.chaos.worker_stall_prob > 0.0 &&
-      chaos_stall_rng_.NextBernoulli(options_.chaos.worker_stall_prob)) {
-    stall_ms = options_.chaos.worker_stall_ms;
+      stall_rng->NextBernoulli(options_.chaos.worker_stall_prob)) {
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+        options_.chaos.worker_stall_ms));
   }
   const ServerHealth health = CurrentHealth();
 
-  const size_t n = batch->size();
-  std::vector<QueryResponse> responses(n);
-  std::vector<Status> statuses(n, Status::OK());
-  ParallelFor(pool_.get(), n, [&](size_t i, uint32_t worker) {
-    (void)worker;
-    if (i == 0 && stall_ms > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          stall_ms));
-    }
-    WorkspacePool::Lease lease = workspaces_.Acquire();
-    TraversalWorkspace* ws = lease.get();
-    PendingQuery& pq = (*batch)[i];
-    if (pq.cancel_flag != nullptr) {
-      ws->cancel.flag = pq.cancel_flag.get();
-      ws->cancel.check_interval = options_.cancel_check_interval;
-    }
-    statuses[i] = ExecuteQueryInto(snap.view(), &snap.frozen(), pq.req, ws,
-                                   snap.cache(), snap.clusters(), &responses[i],
+  if (pq->cancel_flag != nullptr) {
+    ws->cancel.flag = pq->cancel_flag.get();
+    ws->cancel.check_interval = options_.cancel_check_interval;
+  }
+  QueryResponse response;
+  Status status = ExecuteQueryInto(snap.view(), &snap.frozen(), pq->req, ws,
+                                   snap.cache(), snap.clusters(), &response,
                                    snap.ids());
-    // Disarm before the workspace returns to the pool: leases outlive
-    // requests, and a stale flag pointer must never cancel a stranger.
-    ws->cancel.flag = nullptr;
-    ws->cancel.triggered = false;
-    responses[i].epoch = snap.epoch();
-    responses[i].health = health;
-  });
+  // Disarm: the workspace serves the worker's next request, and a stale
+  // flag pointer must never cancel a stranger.
+  ws->cancel.flag = nullptr;
+  ws->cancel.triggered = false;
+  response.epoch = snap.epoch();
+  response.health = health;
 
   bool do_replay = options_.validate_replay;
 #if defined(NETCLUS_VALIDATE)
   do_replay = true;
 #endif
-  if (do_replay) {
-    std::vector<QueryRequest> ok_requests;
-    std::vector<QueryResponse> ok_responses;
-    for (size_t i = 0; i < n; ++i) {
-      if (statuses[i].ok()) {
-        ok_requests.push_back((*batch)[i].req);
-        ok_responses.push_back(responses[i]);
-      }
-    }
+  // A failed (e.g. cancelled) request is not replayed: its partial work
+  // can never read as a divergence.
+  if (do_replay && status.ok()) {
     Status verdict = ValidateServedBatch(snap.view(), &snap.frozen(),
-                                         ok_requests, ok_responses,
+                                         {pq->req}, {response},
                                          snap.clusters(), snap.ids());
     {
       MutexLock lock(&stats_mu_);
       ++replay_batches_;
       if (!verdict.ok()) ++replay_mismatches_;
     }
-    if (!verdict.ok()) {
-      // A divergence means the served epoch path computed something the
-      // direct path would not — never hand that out as an answer.
-      for (size_t i = 0; i < n; ++i) {
-        if (statuses[i].ok()) statuses[i] = verdict;
-      }
-    }
+    // A divergence means the served epoch path computed something the
+    // direct path would not — never hand that out as an answer.
+    if (!verdict.ok()) status = verdict;
   }
 
-  // Count the batch before fulfilling its promises: a client holding a
+  // Count the request before fulfilling its promise: a client holding a
   // response must already be visible in stats().completed.
   const double end_seconds = clock_.ElapsedSeconds();
   {
     MutexLock lock(&stats_mu_);
     ++batches_;
-    completed_ += n;
-    batch_size_.Add(static_cast<double>(n));
+    ++completed_;
     batch_ms_.Add((end_seconds - start_seconds) * 1e3);
-    for (size_t i = 0; i < n; ++i) {
-      const bool missed = statuses[i].IsDeadlineExceeded();
-      if (missed) ++cancelled_traversals_;
-      RecordOutcomeLocked(missed);
-    }
-    for (const PendingQuery& pq : *batch) {
-      double wait_ms = (start_seconds - pq.enqueue_seconds) * 1e3;
-      queue_wait_ms_.Add(wait_ms);
-      if (wait_ring_.size() < kWaitRingCapacity) {
-        wait_ring_.push_back(wait_ms);
-      } else {
-        wait_ring_[wait_ring_next_] = wait_ms;
-        wait_ring_next_ = (wait_ring_next_ + 1) % kWaitRingCapacity;
-      }
-    }
-  }
-
-  for (size_t i = 0; i < n; ++i) {
-    if (statuses[i].ok()) {
-      (*batch)[i].promise.set_value(std::move(responses[i]));
+    const bool missed = status.IsDeadlineExceeded();
+    if (missed) ++cancelled_traversals_;
+    RecordOutcomeLocked(missed);
+    const double wait_ms = (start_seconds - pq->enqueue_seconds) * 1e3;
+    queue_wait_ms_.Add(wait_ms);
+    if (wait_ring_.size() < kWaitRingCapacity) {
+      wait_ring_.push_back(wait_ms);
     } else {
-      (*batch)[i].promise.set_value(statuses[i]);
+      wait_ring_[wait_ring_next_] = wait_ms;
+      wait_ring_next_ = (wait_ring_next_ + 1) % kWaitRingCapacity;
     }
   }
 
-  // Release the pin before sweeping so a batch that outlived its epoch
+  if (status.ok()) {
+    pq->promise.set_value(std::move(response));
+  } else {
+    pq->promise.set_value(std::move(status));
+  }
+
+  // Release the pin before sweeping so a request that outlived its epoch
   // frees that epoch now rather than at the next publish.
   pin.Release();
   epochs_.SweepRetired();
@@ -907,8 +860,7 @@ ServerStats QueryServer::stats() const {
     s.mean_publish_incremental_ms = publish_incremental_ms_.mean();
     s.mean_queue_wait_ms = queue_wait_ms_.mean();
     s.max_queue_wait_ms = queue_wait_ms_.max();
-    s.mean_batch_size = batch_size_.mean();
-    s.max_batch_size = batch_size_.max();
+    s.mean_batch_size = batches_ > 0 ? 1.0 : 0.0;
     s.mean_batch_ms = batch_ms_.mean();
   }
   s.epochs_published = epochs_.epochs_published();
@@ -919,58 +871,6 @@ ServerStats QueryServer::stats() const {
     s.queue_depth = queue_.size();
   }
   return s;
-}
-
-void QueryServer::PublishStats(StatsCollector* collector) const {
-  ServerStats now = stats();
-  MutexLock lock(&publish_stats_mu_);
-  auto delta = [](uint64_t cur, uint64_t* prev) {
-    uint64_t d = cur - *prev;
-    *prev = cur;
-    return d;
-  };
-  collector->Add("server.accepted",
-                 delta(now.accepted, &published_stats_.accepted));
-  collector->Add("server.rejected",
-                 delta(now.rejected, &published_stats_.rejected));
-  collector->Add("server.completed",
-                 delta(now.completed, &published_stats_.completed));
-  collector->Add("server.batches", delta(now.batches, &published_stats_.batches));
-  collector->Add("server.epochs_published",
-                 delta(now.epochs_published, &published_stats_.epochs_published));
-  collector->Add("server.epochs_drained",
-                 delta(now.epochs_drained, &published_stats_.epochs_drained));
-  collector->Add("server.replay_batches",
-                 delta(now.replay_batches, &published_stats_.replay_batches));
-  collector->Add(
-      "server.replay_mismatches",
-      delta(now.replay_mismatches, &published_stats_.replay_mismatches));
-  collector->Add("server.deadline_expired",
-                 delta(now.deadline_expired, &published_stats_.deadline_expired));
-  collector->Add(
-      "server.cancelled_traversals",
-      delta(now.cancelled_traversals, &published_stats_.cancelled_traversals));
-  collector->Add("server.wal_records",
-                 delta(now.wal_records, &published_stats_.wal_records));
-  collector->Add("server.wal_recoveries",
-                 delta(now.wal_recoveries, &published_stats_.wal_recoveries));
-  collector->Add(
-      "server.publish_failures",
-      delta(now.publish_failures, &published_stats_.publish_failures));
-  collector->Add("server.publishes_full",
-                 delta(now.publishes_full, &published_stats_.publishes_full));
-  collector->Add("server.publishes_incremental",
-                 delta(now.publishes_incremental,
-                       &published_stats_.publishes_incremental));
-  collector->Add(
-      "server.checkpoints_written",
-      delta(now.checkpoints_written, &published_stats_.checkpoints_written));
-  collector->Add(
-      "server.checkpoint_failures",
-      delta(now.checkpoint_failures, &published_stats_.checkpoint_failures));
-  // Gauges, not counters: overwritten with the point-in-time values.
-  collector->Set("server.queue_depth", now.queue_depth);
-  collector->Set("server.wal_checkpoint_covers", now.wal_checkpoint_covers);
 }
 
 std::vector<double> QueryServer::QueueWaitSamplesMs() const {

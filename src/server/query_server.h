@@ -5,16 +5,16 @@
 // vocabulary (server/query.h) from immutable EpochSnapshots published
 // RCU-style through an EpochManager:
 //
-//   clients ──Submit──> bounded queue ──dispatcher──> batch
-//                                          │ pins current epoch once
-//                                          ▼
-//                              ThreadPool::ParallelFor over the batch
-//                              (FrozenGraph traversals; point
-//                               distances through the epoch's
-//                               ObjectId-keyed DistanceCache)
+//   clients ──Submit──> bounded queue ──pop──> worker i (of num_workers)
+//                                          │ pins the current epoch in
+//                                          │ pin slot i, runs the request
+//                                          ▼ on its own TraversalWorkspace
+//                              FrozenGraph traversal (point distances
+//                              through the epoch's ObjectId-keyed
+//                              DistanceCache)
 //                                          │
 //                                          ▼ optional replay validation
-//                              promises fulfilled, epoch id stamped
+//                              promise fulfilled, epoch id stamped
 //
 //   ApplyUpdate ──> updater thread: mutate live Network / point list,
 //                   rebuild PointSet + FrozenGraph (+ re-cluster when a
@@ -24,14 +24,14 @@
 //                   DistanceCache is carried forward across publishes
 //                   that leave the metric unchanged (point-only
 //                   batches) and replaced fresh whenever edge weights
-//                   change, so no batch can ever read a distance the
+//                   change, so no request can ever read a distance the
 //                   current adjacency does not produce.
 //
 // Admission control: when the queue holds max_queue_depth requests, a
 // Submit is rejected immediately with kUnavailable carrying a
-// structured retry-after hint (measured batch rate when warm, a
-// depth/worker model when cold). The contract is documented in
-// DESIGN.md §12.
+// structured retry-after hint (mean per-request service time x queue
+// depth / workers; a fixed per-request prior before the first request
+// completes). The contract is documented in DESIGN.md §12.
 //
 // Resilience (DESIGN.md §13): requests may carry deadlines — expired
 // ones are shed at dequeue and in-flight traversals are cooperatively
@@ -48,7 +48,7 @@
 // The dense, epoch-relative PointIds the graph layer traverses on are
 // an implementation detail confined behind each snapshot's IdentityMap
 // (server/identity_map.h); node count is fixed at Start. Queries never
-// touch the live network, so a served batch is a pure function of its
+// touch the live network, so a served request is a pure function of its
 // pinned snapshot — which is what lets ValidateServedBatch replay it
 // bit-identically.
 #ifndef NETCLUS_SERVER_QUERY_SERVER_H_
@@ -69,11 +69,9 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "graph/dijkstra.h"
 #include "graph/network.h"
-#include "graph/workspace_pool.h"
 #include "netclus.h"
 #include "server/epoch_manager.h"
 #include "server/query.h"
@@ -92,7 +90,7 @@ struct ChaosOptions {
   /// Probability that an updater publish round fails (kInternal) without
   /// touching the epoch manager — exercising serve-last-good-epoch.
   double publish_failure_prob = 0.0;
-  /// Probability that a batch stalls one worker for `worker_stall_ms`
+  /// Probability that a request stalls its worker for `worker_stall_ms`
   /// before executing — exercising deadline expiry under load.
   double worker_stall_prob = 0.0;
   double worker_stall_ms = 0.0;
@@ -104,13 +102,12 @@ struct ChaosOptions {
 
 /// \brief Serving knobs.
 struct QueryServerOptions {
-  /// Worker threads executing batches (0 = one per hardware core).
+  /// Worker threads, each popping and executing one request at a time
+  /// (0 = one per hardware core).
   uint32_t num_workers = 0;
   /// Admission bound: Submits beyond this many queued requests are
   /// rejected with kUnavailable (backpressure).
   size_t max_queue_depth = 1024;
-  /// Most requests the dispatcher drains into one batch.
-  size_t max_batch_size = 64;
   /// ObjectId-keyed point-pair distance cache: each snapshot carries a
   /// cache of this capacity, SHARED with its predecessor across
   /// metric-preserving publishes (warm entries survive) and replaced
@@ -121,8 +118,8 @@ struct QueryServerOptions {
   /// re-materializing the whole graph on every publish. Off = every
   /// publish is a full rebuild (the NETCLUS_VALIDATE oracle path).
   bool incremental_publish = true;
-  /// Replay every served batch through the direct inline path and fail
-  /// the batch kInternal on any payload divergence. Forced on by
+  /// Replay every served request through the direct inline path and
+  /// fail it kInternal on any payload divergence. Forced on by
   /// -DNETCLUS_VALIDATE=ON builds.
   bool validate_replay = false;
   /// When set, every epoch also runs RunClustering and caches the
@@ -166,15 +163,20 @@ struct QueryServerOptions {
 };
 
 /// \brief Aggregate serving counters (monotonic since Start).
+///
+/// A "batch" is one executed request: workers pop and run requests one
+/// at a time, so `batches` counts executions (shed requests excluded),
+/// `mean_batch_size` reads 1.0 once anything has executed, and
+/// `mean_batch_ms` is the mean per-request service time.
 struct ServerStats {
   uint64_t accepted = 0;   ///< requests admitted to the queue
   uint64_t rejected = 0;   ///< requests refused with kUnavailable
   uint64_t completed = 0;  ///< requests whose promise was fulfilled
-  uint64_t batches = 0;    ///< dispatcher batches executed
+  uint64_t batches = 0;    ///< requests executed by a worker
   uint64_t epochs_published = 0;
   uint64_t epochs_drained = 0;   ///< retired snapshots actually freed
   uint64_t retired_epochs = 0;   ///< retired, awaiting last reader
-  uint64_t replay_batches = 0;   ///< batches replay-validated
+  uint64_t replay_batches = 0;   ///< requests replay-validated
   uint64_t replay_mismatches = 0;
   uint64_t deadline_expired = 0;  ///< requests shed at dequeue, past deadline
   uint64_t cancelled_traversals = 0;  ///< cancelled mid-execution
@@ -194,7 +196,6 @@ struct ServerStats {
   double mean_queue_wait_ms = 0.0;
   double max_queue_wait_ms = 0.0;
   double mean_batch_size = 0.0;
-  double max_batch_size = 0.0;
   double mean_batch_ms = 0.0;
   double mean_publish_full_ms = 0.0;
   double mean_publish_incremental_ms = 0.0;
@@ -223,7 +224,7 @@ class QueryServer {
   /// middle fails Start with kCorruption — the server never boots a
   /// guessed world), publishes epoch 1 (running the initial clustering
   /// when `options.cluster_spec` is set — a failure there fails Start),
-  /// and starts the dispatcher, updater, watchdog, and worker threads.
+  /// and starts the worker, updater, and watchdog threads.
   static Result<std::unique_ptr<QueryServer>> Start(
       Network net, PointSet points, const QueryServerOptions& options);
 
@@ -280,14 +281,13 @@ class QueryServer {
 
   ServerStats stats() const;
 
-  /// Adds the monotonic counters to `collector` under "server.*" names.
-  void PublishStats(StatsCollector* collector) const;
-
   /// Queue-wait samples (ms) of the most recent requests (bounded ring;
   /// the raw material for client-side percentiles in the bench).
   std::vector<double> QueueWaitSamplesMs() const;
 
-  uint32_t num_workers() const { return pool_->size(); }
+  uint32_t num_workers() const {
+    return static_cast<uint32_t>(workers_.size());
+  }
 
  private:
   struct PendingQuery {
@@ -345,10 +345,15 @@ class QueryServer {
   /// only.
   Status ApplyToWorld(const NetworkUpdate& update);
 
-  void DispatcherLoop();
+  /// Worker `worker`: pops requests until Stop has been called and the
+  /// queue is empty, shedding the ones whose deadline already passed.
+  void WorkerLoop(uint32_t worker, NodeId num_nodes);
+  /// Runs one popped request on the worker's epoch pin slot, workspace
+  /// and chaos stream, and fulfils its promise.
+  void ExecuteOne(PendingQuery* pq, double start_seconds, uint32_t worker,
+                  TraversalWorkspace* ws, Rng* stall_rng);
   void UpdaterLoop();
   void WatchdogLoop();
-  void ExecuteBatch(std::vector<PendingQuery>* batch);
 
   /// Registers `flag` to be set when the server clock passes
   /// `expiry_seconds`.
@@ -390,9 +395,7 @@ class QueryServer {
   /// Generation of the newest durable checkpoint (0 = none yet).
   uint64_t ckpt_generation_ = 0;
 
-  EpochManager epochs_;
-  std::unique_ptr<ThreadPool> pool_;
-  WorkspacePool workspaces_;
+  EpochManager epochs_;  ///< one pin slot per worker
 
   // Query admission queue. Rank kQueryServerQueue: Submit's rejection
   // path records stats while still holding this lock, which is the only
@@ -416,10 +419,6 @@ class QueryServer {
   uint64_t published_seq_ NETCLUS_GUARDED_BY(update_mu_) = 0;
   Status last_publish_error_ NETCLUS_GUARDED_BY(update_mu_) = Status::OK();
 
-  /// Dispatcher-only: rotates batches across the snapshot's pin slots so
-  /// the multi-slot drain accounting is exercised in normal serving.
-  uint32_t pin_slot_rr_ = 0;
-
   // Deadline watchdog: a min-heap of pending expiries on the server
   // clock, drained by its own thread.
   mutable Mutex deadline_mu_{lock_rank::kQueryServerDeadline,
@@ -433,16 +432,14 @@ class QueryServer {
   std::atomic<bool> wal_broken_{false};
   std::atomic<uint32_t> consecutive_publish_failures_{0};
 
-  // Chaos: independent seeded streams per deciding thread (updater
-  // decides publish failures, dispatcher decides worker stalls), so
-  // neither perturbs the other's sequence.
+  // Chaos: the updater decides publish failures from this stream; each
+  // worker decides its own stalls from a stream of its own (seed stream
+  // 2 + worker), so no thread perturbs another's sequence.
   Rng chaos_publish_rng_{0};
-  Rng chaos_stall_rng_{0};
 
   // Serving statistics. Rank kServerStats: acquired from Submit while
   // queue_mu_ is still held (the backpressure rejection path) and from
-  // workers/dispatcher with nothing held; only the global registry may
-  // be acquired beyond it.
+  // workers with nothing held; the innermost serving lock.
   mutable Mutex stats_mu_{lock_rank::kServerStats, "QueryServer::stats_mu_"};
   uint64_t accepted_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t rejected_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
@@ -466,7 +463,6 @@ class QueryServer {
   RunningStats publish_full_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   RunningStats publish_incremental_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   RunningStats queue_wait_ms_ NETCLUS_GUARDED_BY(stats_mu_);
-  RunningStats batch_size_ NETCLUS_GUARDED_BY(stats_mu_);
   RunningStats batch_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   /// Bounded queue-wait sample ring.
   std::vector<double> wait_ring_ NETCLUS_GUARDED_BY(stats_mu_);
@@ -478,13 +474,7 @@ class QueryServer {
   bool outcome_full_ NETCLUS_GUARDED_BY(stats_mu_) = false;
   size_t outcome_misses_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
 
-  // PublishStats delta tracking: the last totals flushed, so each
-  // publish emits only the delta since the previous one.
-  mutable Mutex publish_stats_mu_{lock_rank::kStatsPublish,
-                                  "QueryServer::publish_stats_mu_"};
-  mutable ServerStats published_stats_ NETCLUS_GUARDED_BY(publish_stats_mu_);
-
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
   std::thread updater_;
   std::thread watchdog_;
 };

@@ -70,7 +70,7 @@ class SnapshotView final : public NetworkView {
 /// \brief One published epoch: id + the immutable world it serves.
 ///
 /// Owned by shared_ptr from the EpochManager and from every in-flight
-/// reader batch; the per-slot pin counts below additionally gate the
+/// reader; the per-slot pin counts below additionally gate the
 /// manager's retire-and-free sweep (see epoch_manager.h for the
 /// lifecycle). Not copyable or movable — the pin slots are addresses
 /// workers hold across the snapshot's whole life.
@@ -109,7 +109,7 @@ class EpochSnapshot {
   /// This epoch's distance cache; null when caching is disabled. Keys
   /// are ObjectId pairs, so entries stay meaningful across epochs and a
   /// metric-preserving republication may share the cache with its
-  /// predecessor — batches draining an old epoch then read and write
+  /// predecessor — requests draining an old epoch then read and write
   /// the same (still correct) distances as the new one.
   const DistanceCache* cache() const { return cache_.get(); }
   /// This epoch's ObjectId <-> dense-PointId map; null means identity.

@@ -84,7 +84,6 @@ TEST(ChaosSoakTest, SoakSurvivesChaosWithCleanReplayAndAccounting) {
   QueryServerOptions opts;
   opts.num_workers = 4;
   opts.max_queue_depth = 256;
-  opts.max_batch_size = 8;
   opts.validate_replay = true;
   opts.wal_file = wal_file.get();
   opts.cancel_check_interval = 16;

@@ -4,16 +4,19 @@
 // pipeline must either fail loudly or produce bit-identical results.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "graph/network_store.h"
 #include "netclus.h"
+#include "storage/buffer_manager.h"
 #include "storage/fault_injection.h"
 
 namespace netclus {
@@ -60,6 +63,28 @@ void FlipByteOnDisk(const std::string& path, uint64_t offset) {
   byte ^= 0x20;
   f.seekp(static_cast<std::streamoff>(offset));
   f.write(&byte, 1);
+  ASSERT_TRUE(f.good());
+}
+
+// Overwrites the u32 at `offset` of page 0 of `path` (4 KiB pages) and
+// re-stamps that page's CRC32C footer, so the page still verifies and
+// only the field's meaning changed.
+void RewriteHeaderField(const std::string& path, size_t offset,
+                        uint32_t value) {
+  constexpr uint32_t kPage = 4096;
+  constexpr uint32_t kPayload = kPage - BufferManager::kPageFooterBytes;
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good()) << path;
+  std::vector<char> page(kPage);
+  f.read(page.data(), kPage);
+  ASSERT_TRUE(f.good()) << path;
+  std::memcpy(page.data() + offset, &value, sizeof(value));
+  const uint32_t page_id = 0;
+  const uint32_t crc = Crc32cExtend(Crc32c(page.data(), kPayload), &page_id,
+                                    sizeof(page_id));
+  std::memcpy(page.data() + kPayload, &crc, sizeof(crc));
+  f.seekp(0);
+  f.write(page.data(), kPage);
   ASSERT_TRUE(f.good());
 }
 
@@ -134,6 +159,25 @@ TEST_F(CorruptionRoundTripTest, HeaderPageByteFlipFailsOpen) {
   auto bundle = DiskNetworkBundle::OpenOnDisk(dir_, 1 << 20, 4096);
   ASSERT_FALSE(bundle.ok());
   EXPECT_TRUE(bundle.status().IsCorruption()) << bundle.status().ToString();
+}
+
+TEST_F(CorruptionRoundTripTest, OtherFormatVersionsAreRefused) {
+  // Both header pages rewritten to an older format version, footers
+  // re-stamped so every page still verifies: Open must refuse the store
+  // rather than read it as an unchecksummed one. Version fields sit at
+  // byte 16 of the adjacency header and byte 12 of the points header.
+  for (uint32_t version : {0u, 1u}) {
+    RewriteHeaderField(PathOf("adj.dat"), 16, version);
+    RewriteHeaderField(PathOf("pts.dat"), 12, version);
+    auto bundle = DiskNetworkBundle::OpenOnDisk(dir_, 1 << 20, 4096);
+    ASSERT_FALSE(bundle.ok()) << "version " << version;
+    EXPECT_TRUE(bundle.status().IsCorruption()) << bundle.status().ToString();
+  }
+  // Control: restoring version 2 reopens and clusters exactly as before.
+  RewriteHeaderField(PathOf("adj.dat"), 16, 2);
+  RewriteHeaderField(PathOf("pts.dat"), 12, 2);
+  ReopenAndCheck(/*expect_failure=*/false);
+  ASSERT_TRUE(DiskNetworkBundle::OpenOnDisk(dir_, 1 << 20, 4096).ok());
 }
 
 TEST_F(CorruptionRoundTripTest, AdjacencyPageByteFlipIsNeverSilent) {

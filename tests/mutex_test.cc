@@ -201,8 +201,8 @@ TEST(MutexTest, TryLockContention) {
 }
 
 TEST(MutexTest, RankAndNameAccessors) {
-  Mutex mu(lock_rank::kStatsRegistry, "registry");
-  EXPECT_EQ(mu.rank(), 100);
+  Mutex mu(lock_rank::kServerStats, "registry");
+  EXPECT_EQ(mu.rank(), 90);
   EXPECT_STREQ(mu.name(), "registry");
 }
 

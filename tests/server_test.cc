@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/stats.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "graph/frozen_graph.h"
@@ -724,7 +723,6 @@ TEST(QueryServerTest, ConcurrentQueriesAcrossEpochSwaps) {
   World w(200, 300, 31);
   QueryServerOptions opts;
   opts.num_workers = 2;
-  opts.max_batch_size = 8;
   Result<std::unique_ptr<QueryServer>> started =
       QueryServer::Start(w.gen.net, w.points, opts);
   ASSERT_TRUE(started.ok());
@@ -785,7 +783,6 @@ TEST(QueryServerTest, BackpressureRejectsWithRetryAfterHint) {
   QueryServerOptions opts;
   opts.num_workers = 1;
   opts.max_queue_depth = 1;
-  opts.max_batch_size = 1;
   Result<std::unique_ptr<QueryServer>> started =
       QueryServer::Start(w.gen.net, w.points, opts);
   ASSERT_TRUE(started.ok());
@@ -816,6 +813,38 @@ TEST(QueryServerTest, BackpressureRejectsWithRetryAfterHint) {
   EXPECT_EQ(stats.completed, stats.accepted);
 }
 
+// Workers pop the admission queue directly: while one worker is stalled
+// inside a request, the next request is picked up by an idle worker at
+// once instead of waiting for the stalled one to finish.
+TEST(QueryServerTest, StalledRequestDoesNotHoldLaterOnesInTheQueue) {
+  World w(80, 100, 37);
+  QueryServerOptions opts;
+  opts.num_workers = 2;
+  opts.chaos.seed = 9;
+  opts.chaos.worker_stall_prob = 1.0;  // every executed request stalls
+  opts.chaos.worker_stall_ms = 1000.0;
+  Result<std::unique_ptr<QueryServer>> started =
+      QueryServer::Start(w.gen.net, w.points, opts);
+  ASSERT_TRUE(started.ok());
+  QueryServer& server = *started.value();
+
+  std::future<Result<QueryResponse>> stalled =
+      server.Submit(QueryRequest::PointDistance(0, 1));
+  // Wait until a worker has dequeued the first request (and is now
+  // sleeping in its stall) before submitting the second.
+  while (server.stats().queue_depth != 0) std::this_thread::yield();
+  std::future<Result<QueryResponse>> later =
+      server.Submit(QueryRequest::PointDistance(1, 2));
+  ASSERT_TRUE(stalled.get().ok());
+  ASSERT_TRUE(later.get().ok());
+
+  // Both requests were dequeued the moment they arrived; neither queue
+  // wait comes anywhere near the 1000 ms stall.
+  std::vector<double> waits = server.QueueWaitSamplesMs();
+  ASSERT_EQ(waits.size(), 2u);
+  for (double wait_ms : waits) EXPECT_LT(wait_ms, 150.0);
+}
+
 TEST(QueryServerTest, StopDrainsAcceptedWorkAndRejectsNewSubmits) {
   World w(100, 150, 67);
   QueryServerOptions opts;
@@ -844,7 +873,7 @@ TEST(QueryServerTest, StopDrainsAcceptedWorkAndRejectsNewSubmits) {
   server.Stop();  // idempotent
 }
 
-TEST(QueryServerTest, PublishStatsEmitsMonotonicDeltas) {
+TEST(QueryServerTest, StatsCountServedWorkMonotonically) {
   World w(80, 100, 29);
   QueryServerOptions opts;
   opts.num_workers = 1;
@@ -857,18 +886,21 @@ TEST(QueryServerTest, PublishStatsEmitsMonotonicDeltas) {
   for (PointId p = 0; p < 10; ++p) {
     ASSERT_TRUE(server.Execute(QueryRequest::NearestObject(p, 1)).ok());
   }
-  StatsCollector collector;
-  server.PublishStats(&collector);
-  EXPECT_EQ(collector.value("server.completed"), 10u);
-  EXPECT_EQ(collector.value("server.epochs_published"), 1u);
-  EXPECT_EQ(collector.value("server.replay_mismatches"), 0u);
-  EXPECT_GE(collector.value("server.batches"), 1u);
+  ServerStats first = server.stats();
+  EXPECT_EQ(first.completed, 10u);
+  EXPECT_EQ(first.epochs_published, 1u);
+  EXPECT_EQ(first.replay_mismatches, 0u);
+  // One executed request is one "batch".
+  EXPECT_EQ(first.batches, 10u);
+  EXPECT_EQ(first.replay_batches, 10u);
+  EXPECT_DOUBLE_EQ(first.mean_batch_size, 1.0);
 
-  // A second flush with no traffic in between publishes zero deltas.
-  server.PublishStats(&collector);
-  EXPECT_EQ(collector.value("server.completed"), 10u);
+  // A second read with no traffic in between sees the same totals.
+  ServerStats second = server.stats();
+  EXPECT_EQ(second.completed, first.completed);
+  EXPECT_EQ(second.batches, first.batches);
 
-  EXPECT_FALSE(server.QueueWaitSamplesMs().empty());
+  EXPECT_EQ(server.QueueWaitSamplesMs().size(), 10u);
 }
 
 // ---------------------------------------------------------------------
@@ -879,7 +911,6 @@ TEST(QueryServerDeadlineTest, ExpiredRequestsAreShedAtDequeue) {
   World w(300, 400, 59);
   QueryServerOptions opts;
   opts.num_workers = 1;
-  opts.max_batch_size = 1;
   opts.validate_replay = true;
   opts.cancel_check_interval = 1;  // a leaked-through request still cancels
   opts.health_window = 0;  // miss-rate degradation off: tested separately
@@ -923,7 +954,6 @@ TEST(QueryServerDeadlineTest, MidTraversalCancellationResolvesCleanly) {
   World w(200, 300, 61);
   QueryServerOptions opts;
   opts.num_workers = 1;
-  opts.max_batch_size = 1;
   opts.validate_replay = true;
   opts.cancel_check_interval = 1;  // poll every settle: cancel promptly
   // Chaos stalls the batch long past the deadline, so the watchdog
@@ -982,7 +1012,6 @@ TEST(QueryServerHealthTest, BackpressureCarriesStructuredRetryAfter) {
   QueryServerOptions opts;
   opts.num_workers = 1;
   opts.max_queue_depth = 1;
-  opts.max_batch_size = 1;
   Result<std::unique_ptr<QueryServer>> started =
       QueryServer::Start(w.gen.net, w.points, opts);
   ASSERT_TRUE(started.ok());
@@ -1048,7 +1077,6 @@ TEST(QueryServerHealthTest, SustainedDeadlineMissesDegradeHealth) {
   World w(300, 400, 83);
   QueryServerOptions opts;
   opts.num_workers = 1;
-  opts.max_batch_size = 1;
   opts.cancel_check_interval = 1;
   opts.health_window = 16;  // the minimum representative window
   opts.degraded_miss_rate = 0.5;
@@ -1083,11 +1111,10 @@ TEST(QueryServerHealthTest, SustainedDeadlineMissesDegradeHealth) {
   EXPECT_EQ(r.value().health, ServerHealth::kDegraded);
 }
 
-TEST(QueryServerHealthTest, PublishStatsCoversResilienceCounters) {
+TEST(QueryServerHealthTest, StatsCoverResilienceCounters) {
   World w(80, 100, 89);
   QueryServerOptions opts;
   opts.num_workers = 1;
-  opts.max_batch_size = 1;
   opts.cancel_check_interval = 1;
   Result<std::unique_ptr<QueryServer>> started =
       QueryServer::Start(w.gen.net, w.points, opts);
@@ -1106,15 +1133,12 @@ TEST(QueryServerHealthTest, PublishStatsCoversResilienceCounters) {
     EXPECT_TRUE(f.get().status().IsDeadlineExceeded());
   }
 
-  StatsCollector collector;
-  server.PublishStats(&collector);
-  EXPECT_EQ(collector.value("server.deadline_expired") +
-                collector.value("server.cancelled_traversals"),
-            4u);
-  EXPECT_EQ(collector.value("server.wal_records"), 0u);
-  EXPECT_EQ(collector.value("server.wal_recoveries"), 0u);
-  EXPECT_EQ(collector.value("server.publish_failures"), 0u);
-  EXPECT_EQ(collector.value("server.queue_depth"), 0u);  // gauge, drained
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.deadline_expired + stats.cancelled_traversals, 4u);
+  EXPECT_EQ(stats.wal_records, 0u);
+  EXPECT_EQ(stats.wal_recoveries, 0u);
+  EXPECT_EQ(stats.publish_failures, 0u);
+  EXPECT_EQ(stats.queue_depth, 0u);  // gauge, drained
 }
 
 }  // namespace

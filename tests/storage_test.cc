@@ -121,8 +121,9 @@ TEST(PagedFileTest, OutOfRangeOpsCountNothing) {
 }
 
 TEST(PagedFileTest, V1CompatUnchecksummedRegistrationUsesFullPage) {
-  // Files registered without checksums (the v1 on-disk format path) keep
-  // the full page for payload and never report Corruption for raw bytes.
+  // Files registered without checksums (the B+-tree and paged-file
+  // suites' files; the network store always checksums) keep the full
+  // page for payload and never report Corruption for raw bytes.
   auto f = PagedFile::CreateInMemory(kPage);
   BufferManager bm(2 * kPage, kPage);
   FileId fid = bm.RegisterFile(f.get());  // checksummed defaults to false
@@ -142,7 +143,7 @@ TEST(PagedFileTest, V1CompatUnchecksummedRegistrationUsesFullPage) {
   (void)bm.NewPage(fid);  // evict page 0 from the 2-frame pool
   (void)bm.NewPage(fid);
   Result<PageHandle> h = bm.FetchPage(fid, 0);
-  ASSERT_TRUE(h.ok());  // unverified: v1 reads never fail the CRC
+  ASSERT_TRUE(h.ok());  // unverified: such reads never fail the CRC
   EXPECT_EQ(bm.stats().checksum_failures, 0u);
 }
 
